@@ -308,7 +308,16 @@ def prepare_speaker(cfg: ExperimentConfig, table: FeatureTable, speaker: str) ->
     return SpeakerData(speaker, splits, fsegs, series, tuple(rejected), repairs)
 
 
-def _speaker_input_hash(cfg: ExperimentConfig, speaker: str) -> str:
+def _table_digest(table: FeatureTable) -> str:
+    """Digest of a resolved table's contents: feature names, labels and values."""
+    labels = sorted(table.vectors)
+    values = np.stack([table.vectors[label] for label in labels])
+    return _hash_bytes(_hash_obj([table.names, labels]).encode(), values.tobytes())
+
+
+def _speaker_input_hash(cfg: ExperimentConfig, table_digest: str, speaker: str) -> str:
+    """Digest of everything that decides a speaker's prepared data: its input
+    files, the feature table's contents and the split config."""
     root = Path(cfg.dataset_root)
     pieces = []
     for utt, ema_path, align_path in discover_utterances(root, speaker):
@@ -317,7 +326,7 @@ def _speaker_input_hash(cfg: ExperimentConfig, speaker: str) -> str:
         pieces.append(align_path.read_bytes())
     cfg_slice = {
         "feature_set": cfg.feature_set,
-        "feature_table_path": cfg.feature_table_path,
+        "feature_table": table_digest,
         "split_sizes": cfg.split_sizes,
         "seed": cfg.seed,
     }
@@ -397,19 +406,18 @@ def grid_search(
     if data is None:
         data = _pmap(lambda s: prepare_speaker(cfg, table, s), list(cfg.speakers), cfg.jobs)
 
-    def eval_point(oc: OptimConfig) -> float:
+    def eval_point(oc: OptimConfig) -> tuple[float, float]:
+        """Dev score of one grid point and the seconds it took."""
+        t0 = time.perf_counter()
         rows = [_speaker_score(d, cfg, oc, "dev") for d in data]
-        return aggregate(np.vstack(rows), tuple(cfg.speakers)).grand
+        return aggregate(np.vstack(rows), tuple(cfg.speakers)).grand, time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    scores = _pmap(eval_point, configs, cfg.jobs)
     rows = []
-    for oc, s in zip(configs, scores):
+    for oc, (s, seconds) in zip(configs, _pmap(eval_point, configs, cfg.jobs)):
         rows.append({"timing_lr": oc.timing_lr, "position_lr": oc.position_lr,
                      "lambda": oc.lam, "dev_score": s})
         if manifest is not None:
-            manifest.record("grid-eval", _hash_obj(rows[-1]), False,
-                            (time.perf_counter() - t0) / max(len(configs), 1),
+            manifest.record("grid-eval", _hash_obj(rows[-1]), False, seconds,
                             timing_lr=oc.timing_lr, position_lr=oc.position_lr,
                             lam=oc.lam, dev_score=round(s, 9))
     best_idx = int(np.argmax([r["dev_score"] for r in rows]))
@@ -423,10 +431,11 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[ScoreReport, RunManifest]:
     cache = Cache(out / "cache")
     manifest = RunManifest(config=json.loads(json.dumps(asdict(cfg), default=str)))
     table = resolve_table(cfg)
+    table_digest = _table_digest(table)
+    input_hash = {s: _speaker_input_hash(cfg, table_digest, s) for s in cfg.speakers}
 
     def prep_one(speaker: str) -> SpeakerData:
-        key = "prep-" + _hash_bytes(_speaker_input_hash(cfg, speaker).encode(),
-                                    speaker.encode())
+        key = "prep-" + _hash_bytes(input_hash[speaker].encode(), speaker.encode())
         t0 = time.perf_counter()
         hit = cache.get(key)
         if hit is not None:
@@ -456,7 +465,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[ScoreReport, RunManifest]:
                      "optim": asdict(optim) if optim else None,
                      "probe": [cfg.probe_epochs, cfg.probe_patience, cfg.probe_lr],
                      "seed": cfg.seed}
-        key = "score-" + _hash_bytes(_speaker_input_hash(cfg, d.speaker).encode(),
+        key = "score-" + _hash_bytes(input_hash[d.speaker].encode(),
                                      _hash_obj(cfg_slice).encode())
         t0 = time.perf_counter()
         hit = cache.get(key)

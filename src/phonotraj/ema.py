@@ -19,6 +19,7 @@ parameters are z-scored with training-partition statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -228,6 +229,12 @@ def load_ema(path, fmt: str | None = None, utterance_id: str | None = None) -> E
     raise EmaError(f"unknown EMA format {fmt!r}")
 
 
+@cache
+def _lowpass() -> tuple[np.ndarray, np.ndarray]:
+    """``(b, a)`` of the 50 Hz Butterworth low-pass at 500 Hz, designed once."""
+    return butter(FILTER_ORDER, CUTOFF_HZ, btype="low", fs=500)
+
+
 def filter_and_downsample(rec: EmaRecord) -> EmaRecord:
     """Zero-phase 50 Hz low-pass, then decimation from 500 Hz to 100 Hz.
 
@@ -236,7 +243,7 @@ def filter_and_downsample(rec: EmaRecord) -> EmaRecord:
     """
     if rec.sample_rate != 500:
         raise EmaError(f"{rec.utterance_id}: expected 500 Hz input, got {rec.sample_rate}")
-    b, a = butter(FILTER_ORDER, CUTOFF_HZ, btype="low", fs=rec.sample_rate)
+    b, a = _lowpass()
     means = rec.channels.mean(axis=0, keepdims=True)
     filtered = filtfilt(b, a, rec.channels - means, axis=0) + means
     n_out = rec.channels.shape[0] // DECIMATION

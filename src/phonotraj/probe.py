@@ -7,6 +7,12 @@ most 100 epochs and early stopping after 5 epochs without development-loss
 improvement.  Evaluation concatenates test predictions per speaker and
 reports one Pearson correlation per parameter; the articulatory score is
 the grand average over parameters and speakers.
+
+The loss is quadratic in the probe's parameters, so training works on
+per-utterance sufficient statistics: with ``A = [F 1]`` and the parameters
+fused into ``theta = [W b]``, one utterance's gradient is
+``2 (theta G - C)`` for ``G = AᵀA / n`` and ``C = ZᵀA / n``, computed once.
+The cost of an Adam step therefore no longer depends on the frame count.
 """
 from __future__ import annotations
 
@@ -54,19 +60,16 @@ def adam_step(
     """One bias-corrected Adam update; mutates ``state``, returns new params."""
     if len(params) != len(grads) or any(p.shape != g.shape for p, g in zip(params, grads)):
         raise ProbeError("parameter/gradient shape mismatch")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise ProbeError("non-finite gradient")
+    if not all(np.isfinite(g).all() for g in grads):
+        raise ProbeError("non-finite gradient")
     b1, b2 = state.betas
     state.step += 1
-    t = state.step
+    c1, c2 = 1 - b1**state.step, 1 - b2**state.step
     out = []
     for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = b1 * state.m[i] + (1 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
-        m_hat = state.m[i] / (1 - b1**t)
-        v_hat = state.v[i] / (1 - b2**t)
-        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+        m = state.m[i] = b1 * state.m[i] + (1 - b1) * g
+        v = state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
+        out.append(p - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps))
     return out
 
 
@@ -106,6 +109,13 @@ def _utterance_loss(weight, bias, F, Z) -> float:
     return float(np.mean(np.sum(err * err, axis=1)))
 
 
+def _statistics(F: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``G = AᵀA / n`` and ``C = ZᵀA / n`` with ``A = [F 1]``: the gradient of
+    one utterance's loss at ``theta = [W b]`` is ``2 (theta G - C)``."""
+    A = np.column_stack([F, np.ones(F.shape[0])])
+    return A.T @ A / F.shape[0], Z.T @ A / F.shape[0]
+
+
 def dataset_loss(weight: np.ndarray, bias: np.ndarray, pairs: list[Pair]) -> float:
     """Mean over utterances of the frame-mean squared reconstruction error."""
     losses = [_utterance_loss(weight, bias, *_aligned(p)) for p in pairs]
@@ -124,8 +134,12 @@ def train_probe(
     """Fit the affine probe; deterministic given the seed.
 
     One Adam step per utterance (the loss is a sum of per-utterance terms),
-    utterance order reshuffled each epoch.  Returns the parameters with the
-    best development loss seen.
+    utterance order reshuffled each epoch.  Each training utterance is
+    reduced once to its statistics ``G = AᵀA / n`` and ``C = ZᵀA / n`` with
+    ``A = [F 1]``; a step's gradient ``2 (theta G - C)`` is then one
+    (6, d+1) x (d+1, d+1) product whatever the utterance's length.  The
+    development loss is computed from the dev frames.  Returns the
+    parameters with the best development loss seen.
     """
     if not train or not dev:
         raise ProbeError("need non-empty train and dev sets")
@@ -141,27 +155,25 @@ def train_probe(
         if np.ptp(pooled_targets[:, j]) == 0:
             log.warning("training parameter %s is constant; fit is degenerate",
                         PARAMETERS[j] if j < len(PARAMETERS) else j)
+    stats = [_statistics(F, Z) for F, Z in cached_train]
 
     rng = np.random.default_rng(seed)
-    weight = np.zeros((n_params, d))
-    bias = np.zeros(n_params)
-    state = AdamState.for_params([weight, bias], lr=lr)
-    best_w, best_b = weight.copy(), bias.copy()
+    theta = np.zeros((n_params, d + 1))  # [weight bias]
+    state = AdamState.for_params([theta], lr=lr)
+    best_w, best_b = theta[:, :d].copy(), theta[:, d].copy()
     best_dev = float("inf")
     bad_epochs = 0
     epochs_run = 0
     for _epoch in range(max_epochs):
         epochs_run += 1
         for i in rng.permutation(len(cached_train)):
-            F, Z = cached_train[i]
-            err = F @ weight.T + bias - Z
-            gw = 2.0 * err.T @ F / F.shape[0]
-            gb = 2.0 * err.mean(axis=0)
-            weight, bias = adam_step(state, [weight, bias], [gw, gb])
+            G, C = stats[i]
+            (theta,) = adam_step(state, [theta], [2.0 * (theta @ G - C)])
+        weight, bias = theta[:, :d].copy(), theta[:, d].copy()
         dev_loss = float(np.mean([_utterance_loss(weight, bias, F, Z) for F, Z in cached_dev]))
         if dev_loss < best_dev:
             best_dev = dev_loss
-            best_w, best_b = weight.copy(), bias.copy()
+            best_w, best_b = weight, bias
             bad_epochs = 0
         else:
             bad_epochs += 1

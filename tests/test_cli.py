@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -204,6 +205,28 @@ def test_full_replication_grid_logs_90_evaluations(tiny_root, tmp_path):
     assert sum(1 for s in manifest.stages if s["stage"] == "grid-eval") == 90
 
 
+def test_grid_eval_records_each_points_own_time(tiny_root, tmp_path, monkeypatch):
+    cfg = small_grid_cfg(tiny_root, tmp_path, timing_lrs=[1e-5], position_lrs=[1e-2],
+                         lambdas=[0.0, 1e3, 1e4])
+    speaker_score = cli._speaker_score
+
+    def slow_at_1e4(data, point_cfg, optim, part):
+        if optim.lam == 1e4:
+            time.sleep(0.5)
+        return speaker_score(data, point_cfg, optim, part)
+
+    monkeypatch.setattr(cli, "_speaker_score", slow_at_1e4)
+    manifest = cli.RunManifest(config={})
+    t0 = time.perf_counter()
+    grid_search(cfg, manifest=manifest)
+    wall = time.perf_counter() - t0
+    seconds = {s["lam"]: s["seconds"] for s in manifest.stages if s["stage"] == "grid-eval"}
+    assert len(seconds) == 3
+    assert all(x >= 0 for x in seconds.values())
+    assert sum(seconds.values()) <= wall
+    assert seconds[1e4] >= 0.5 > max(seconds[0.0], seconds[1e3])
+
+
 def test_grid_requires_optimization(tiny_root, tmp_path):
     cfg = synthetic_config(tiny_root, utterances=14, speakers=1,
                            out_dir=str(tmp_path / "g"))
@@ -246,6 +269,23 @@ def test_cache_invalidated_when_inputs_change(tmp_path):
     _, manifest = run_experiment(cfg)
     prep = [s for s in manifest.stages if s["stage"].startswith("prepare/")]
     assert prep and not any(s["cached"] for s in prep)
+
+
+def test_cache_invalidated_when_feature_table_changes(tmp_path):
+    root = tmp_path / "ds"
+    generate_synthetic(root, speakers=1, utterances=14, dim=4, seed=9)
+    cfg = synthetic_config(root, utterances=14, speakers=1,
+                           out_dir=str(tmp_path / "out"))
+    run_experiment(cfg)
+    table = root / "features.tsv"
+    lines = table.read_text(encoding="utf-8").splitlines()
+    cells = lines[1].split("\t")
+    j = next(j for j, c in enumerate(cells) if c in "+-" and j > 0)
+    cells[j] = "-" if cells[j] == "+" else "+"
+    lines[1] = "\t".join(cells)
+    table.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _, manifest = run_experiment(cfg)
+    assert manifest.stages and not any(s["cached"] for s in manifest.stages)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ import pytest
 from phonotraj.ema import ArticulatorySeries
 from phonotraj.forward import Trajectory
 from phonotraj.probe import (ADAM_BETAS, ADAM_EPS, ADAM_LR, AdamState,
-                             ProbeError, ProbeModel, adam_step, aggregate,
-                             dataset_loss, pearson, score, train_probe)
+                             ProbeError, ProbeModel, _statistics, adam_step,
+                             aggregate, dataset_loss, pearson, score,
+                             train_probe)
 
 
 def make_pairs(rng, A, b, n_utt, frames=(30, 60), noise=0.0):
@@ -71,18 +72,26 @@ def test_adam_two_identical_steps_closed_form():
     assert p[0][0] == pytest.approx(expected, abs=1e-15)
 
 
-def test_adam_shape_mismatch_rejected():
-    p = [np.zeros(3)]
+def _assert_rejected_without_update(grads):
+    p = [np.array([[0.5, -0.5]])]
     state = AdamState.for_params(p)
+    p = adam_step(state, p, [np.array([[1.0, 2.0]])])
+    m, v = state.m[0].copy(), state.v[0].copy()
     with pytest.raises(ProbeError):
-        adam_step(state, p, [np.zeros(2)])
+        adam_step(state, p, grads)
+    assert state.step == 1
+    np.testing.assert_array_equal(state.m[0], m)
+    np.testing.assert_array_equal(state.v[0], v)
+
+
+def test_adam_shape_mismatch_rejected():
+    _assert_rejected_without_update([np.zeros((1, 3))])
+    _assert_rejected_without_update([np.zeros((1, 2)), np.zeros((1, 2))])
 
 
 def test_adam_non_finite_gradient_rejected():
-    p = [np.zeros(2)]
-    state = AdamState.for_params(p)
-    with pytest.raises(ProbeError):
-        adam_step(state, p, [np.array([1.0, np.inf])])
+    _assert_rejected_without_update([np.array([[1.0, np.inf]])])
+    _assert_rejected_without_update([np.array([[np.nan, 0.0]])])
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +124,59 @@ def test_probe_recovers_noiseless_affine_map():
     W, *_ = np.linalg.lstsq(Fb * sw, Z * sw, rcond=None)
     oracle_loss = dataset_loss(W[:-1].T, W[-1], test)
     assert abs(dataset_loss(probe.weight, probe.bias, test) - oracle_loss) < 1e-6
+
+
+def test_statistics_gradient_equals_frame_gradient():
+    rng = np.random.default_rng(8)
+    for n, d in [(1, 3), (37, 5), (240, 73)]:
+        F = rng.normal(size=(n, d))
+        Z = rng.normal(size=(n, 6))
+        theta = rng.normal(size=(6, d + 1))
+        err = F @ theta[:, :d].T + theta[:, d] - Z
+        frame_grad = 2.0 * err.T @ np.column_stack([F, np.ones(n)]) / n
+        G, C = _statistics(F, Z)
+        np.testing.assert_allclose(2.0 * (theta @ G - C), frame_grad, rtol=1e-12,
+                                   atol=1e-12 * np.abs(frame_grad).max())
+
+
+def _frame_reference_probe(train, dev, seed, max_epochs, patience=5):
+    """Adam on the frames, with separate weight and bias arrays."""
+    rng = np.random.default_rng(seed)
+    d = train[0][0].frames.shape[1]
+    weight, bias = np.zeros((6, d)), np.zeros(6)
+    state = AdamState.for_params([weight, bias])
+    best = (weight, bias)
+    best_dev, bad, epochs = float("inf"), 0, 0
+    for _ in range(max_epochs):
+        epochs += 1
+        for i in rng.permutation(len(train)):
+            F, Z = train[i][0].frames, train[i][1].Z
+            err = F @ weight.T + bias - Z
+            gw = 2.0 * err.T @ F / F.shape[0]
+            gb = 2.0 * err.mean(axis=0)
+            weight, bias = adam_step(state, [weight, bias], [gw, gb])
+        dev_loss = dataset_loss(weight, bias, dev)
+        if dev_loss < best_dev:
+            best_dev, best, bad = dev_loss, (weight, bias), 0
+        else:
+            bad += 1
+            if bad >= patience:
+                break
+    return best, epochs
+
+
+def test_statistics_training_matches_frame_reference():
+    rng = np.random.default_rng(9)
+    A = rng.normal(size=(6, 7))
+    b = rng.normal(size=6)
+    train = make_pairs(rng, A, b, 36, noise=0.5)
+    dev = make_pairs(rng, A, b, 4, noise=0.5)
+    for max_epochs in (3, 400):  # 400 stops early, after 138 epochs
+        (w, bias), epochs = _frame_reference_probe(train, dev, seed=4, max_epochs=max_epochs)
+        probe = train_probe(train, dev, seed=4, max_epochs=max_epochs)
+        assert probe.epochs_run == epochs
+        np.testing.assert_allclose(probe.weight, w, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(probe.bias, bias, rtol=0, atol=1e-9)
 
 
 def test_early_stopping_contract():
