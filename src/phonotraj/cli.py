@@ -13,13 +13,13 @@ recompute stages whose inputs changed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import logging
 import pickle
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -33,7 +33,8 @@ from .ema import (CHANNELS, ArticulatorySeries, EmaError, EmaRecord,
                   align_frames, filter_and_downsample, fit_guided_pca,
                   load_ema, project, write_est_track)
 from .forward import ForwardError, InterpMethod, Trajectory, synthesize, synthesize_targets
-from .optimize import OptimConfig, OptimizeError, grid_configs, optimize_targets
+from .optimize import (DivergenceError, OptimConfig, OptimizeError, grid_configs,
+                       optimize_targets)
 from .phonology import (FeatureTable, FeatureTableError, enrich_with_phonemes,
                         get_table, load_feature_table)
 from .probe import ProbeError, ScoreReport, aggregate, score, train_probe
@@ -57,7 +58,7 @@ class ExperimentConfig:
     optimize_timing: bool = False
     optimize_position: bool = False
     grid: dict | None = None  # axis overrides for the hyper-parameter grid
-    frame_rate: float = 100.0
+    frame_rate: float = 100.0  # must equal the 100 Hz rate of the EMA frames
     split_sizes: tuple[int, int, int] = REPLICATION_SPLITS
     seed: int = 0
     out_dir: str = "out"
@@ -66,7 +67,6 @@ class ExperimentConfig:
     probe_epochs: int = 100
     probe_patience: int = 5
     probe_lr: float = 1e-3
-    jobs: int = 1
 
     def __post_init__(self):
         if not self.speakers:
@@ -76,6 +76,11 @@ class ExperimentConfig:
         if self.split_sizes[0] < 1 or self.split_sizes[1] < 1 or self.split_sizes[2] < 1:
             raise ConfigError("every split needs at least one utterance")
         InterpMethod.from_id(self.method)  # validate early
+        if self.frame_rate != 100.0:
+            raise ConfigError(
+                f"frame_rate {self.frame_rate} Hz: trajectories must be sampled at the "
+                "100 Hz rate of the EMA frames"
+            )
 
     @property
     def interp_method(self) -> InterpMethod:
@@ -229,14 +234,6 @@ class RunManifest:
         )
 
 
-def _pmap(fn, items, jobs: int):
-    """Map preserving input order, on a bounded worker pool when jobs > 1."""
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # pipeline stages
 # ---------------------------------------------------------------------------
@@ -315,9 +312,19 @@ def _table_digest(table: FeatureTable) -> str:
     return _hash_bytes(_hash_obj([table.names, labels]).encode(), values.tobytes())
 
 
+@functools.cache
+def _source_digest() -> str:
+    """Digest of the package's own code and data files, read once per process."""
+    pkg = Path(__file__).resolve().parent
+    files = sorted(pkg.glob("*.py")) + sorted(pkg.glob("data/*"))
+    return _hash_bytes(*(part for p in files
+                         for part in (p.relative_to(pkg).as_posix().encode(), p.read_bytes())))
+
+
 def _speaker_input_hash(cfg: ExperimentConfig, table_digest: str, speaker: str) -> str:
     """Digest of everything that decides a speaker's prepared data: its input
-    files, the feature table's contents and the split config."""
+    files, the feature table's contents, the split config and the package
+    source."""
     root = Path(cfg.dataset_root)
     pieces = []
     for utt, ema_path, align_path in discover_utterances(root, speaker):
@@ -330,7 +337,7 @@ def _speaker_input_hash(cfg: ExperimentConfig, table_digest: str, speaker: str) 
         "split_sizes": cfg.split_sizes,
         "seed": cfg.seed,
     }
-    return _hash_bytes(_hash_obj(cfg_slice).encode(), *pieces)
+    return _hash_bytes(_source_digest().encode(), _hash_obj(cfg_slice).encode(), *pieces)
 
 
 def _synthesize_utterance(
@@ -387,7 +394,9 @@ def grid_search(
 
     Returns the best configuration (dev articulatory score argmax; ties fall
     to the smallest lambda, then the smallest learning rates through the
-    deterministic grid order) and the per-point score table.
+    deterministic grid order) and the per-point score table.  A point whose
+    optimization diverges is recorded as failed, with no dev score and the
+    error, and left out of the argmax.
     """
     if not cfg.wants_optimization:
         raise ConfigError("grid search requires optimization to be enabled")
@@ -404,23 +413,30 @@ def grid_search(
         raise ConfigError("empty hyper-parameter grid")
     table = resolve_table(cfg)
     if data is None:
-        data = _pmap(lambda s: prepare_speaker(cfg, table, s), list(cfg.speakers), cfg.jobs)
-
-    def eval_point(oc: OptimConfig) -> tuple[float, float]:
-        """Dev score of one grid point and the seconds it took."""
-        t0 = time.perf_counter()
-        rows = [_speaker_score(d, cfg, oc, "dev") for d in data]
-        return aggregate(np.vstack(rows), tuple(cfg.speakers)).grand, time.perf_counter() - t0
+        data = [prepare_speaker(cfg, table, s) for s in cfg.speakers]
 
     rows = []
-    for oc, (s, seconds) in zip(configs, _pmap(eval_point, configs, cfg.jobs)):
-        rows.append({"timing_lr": oc.timing_lr, "position_lr": oc.position_lr,
-                     "lambda": oc.lam, "dev_score": s})
+    for oc in configs:
+        row = {"timing_lr": oc.timing_lr, "position_lr": oc.position_lr, "lambda": oc.lam}
+        t0 = time.perf_counter()
+        try:
+            scores = [_speaker_score(d, cfg, oc, "dev") for d in data]
+            row["dev_score"] = aggregate(np.vstack(scores), tuple(cfg.speakers)).grand
+        except DivergenceError as exc:
+            row.update(dev_score=None, error=str(exc))
+        seconds = time.perf_counter() - t0
+        rows.append(row)
         if manifest is not None:
-            manifest.record("grid-eval", _hash_obj(rows[-1]), False, seconds,
-                            timing_lr=oc.timing_lr, position_lr=oc.position_lr,
-                            lam=oc.lam, dev_score=round(s, 9))
-    best_idx = int(np.argmax([r["dev_score"] for r in rows]))
+            s = row["dev_score"]
+            outcome = ({"dev_score": None, "error": row["error"]} if s is None
+                       else {"dev_score": round(s, 9)})
+            manifest.record("grid-eval", _hash_obj(row), False, seconds,
+                            timing_lr=oc.timing_lr, position_lr=oc.position_lr, lam=oc.lam,
+                            **outcome)
+    ok = [i for i, r in enumerate(rows) if r["dev_score"] is not None]
+    if not ok:
+        raise ConfigError(f"every grid point failed; the first: {rows[0]['error']}")
+    best_idx = ok[int(np.argmax([rows[i]["dev_score"] for i in ok]))]
     return configs[best_idx], rows
 
 
@@ -449,7 +465,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[ScoreReport, RunManifest]:
         manifest.record(f"prepare/{speaker}", key, False, time.perf_counter() - t0)
         return data
 
-    data = _pmap(prep_one, list(cfg.speakers), cfg.jobs)
+    data = [prep_one(s) for s in cfg.speakers]
 
     optim: OptimConfig | None = None
     if cfg.wants_optimization:
@@ -480,7 +496,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[ScoreReport, RunManifest]:
         manifest.record(f"score/{d.speaker}", key, False, time.perf_counter() - t0)
         return row
 
-    rows = _pmap(score_one, data, cfg.jobs)
+    rows = [score_one(d) for d in data]
     report = aggregate(np.vstack(rows), tuple(cfg.speakers))
     (out / "report.csv").write_text(report.to_csv(), encoding="utf-8")
     (out / "report.txt").write_text(report.to_text(), encoding="utf-8")
@@ -670,7 +686,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--speakers", default=None, help="comma-separated speaker override")
     p.add_argument("--feature-set", default=None, help="override feature set id")
     p.add_argument("--method", default=None, help="override interpolation method")
-    p.add_argument("--jobs", type=int, default=None, help="worker pool size")
     p.add_argument("--out", default=None, help="override output directory")
 
 
@@ -685,8 +700,6 @@ def _load_config(args) -> ExperimentConfig:
         overrides["feature_set"] = args.feature_set
     if args.method:
         overrides["method"] = args.method
-    if args.jobs is not None:
-        overrides["jobs"] = args.jobs
     if args.out:
         overrides["out_dir"] = args.out
     return replace(cfg, **overrides) if overrides else cfg

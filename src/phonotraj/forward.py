@@ -12,6 +12,8 @@ at k/frame_rate, k = 1..n, n = floor(duration * frame_rate)):
 Unknown feature entries have no node: each dimension interpolates through
 its specified targets only, so the interpolant supplies context-dependent
 values.  The zero boundary targets act as nodes in every dimension.
+``node_patterns`` groups the dimensions that share a node mask into one
+block; synthesis, the optimizer and ``select_nodes`` all read those blocks.
 """
 from __future__ import annotations
 
@@ -126,49 +128,53 @@ def frame_times(duration: float, frame_rate: float) -> np.ndarray:
     return np.minimum((np.arange(n) + 1) / frame_rate, duration)
 
 
-def select_nodes(fseg: FeaturalSegmentation) -> list[DimensionNodes]:
-    """Per-dimension nodes: both boundary rows plus every specified target."""
-    mask = fseg.specified.copy()
+def node_patterns(t: np.ndarray, X: np.ndarray, specified: np.ndarray):
+    """Group the dimensions of targets (t, X) by their node mask.
+
+    A dimension's nodes are both boundary rows plus its specified rows.
+    Yields ``(rows, dims, times, values)`` per distinct mask, where
+    ``values`` is the (m, c) block ``X[rows][:, dims]`` with the boundary
+    rows set to 0, their target by construction.
+    """
+    mask = specified.copy()
     mask[0, :] = True
     mask[-1, :] = True
-    out = []
-    for j in range(fseg.dimension):
-        rows = np.flatnonzero(mask[:, j])
-        values = fseg.X[rows, j].copy()
-        values[rows == 0] = 0.0  # boundary rows are zero targets by construction
-        values[rows == fseg.X.shape[0] - 1] = 0.0
-        out.append(
-            DimensionNodes(
-                dim=j,
-                times=fseg.t[rows].copy(),
-                values=values,
-                rows=rows,
-                intervals=fseg.Y[rows].copy(),
-            )
-        )
-    return out
+    groups: dict[bytes, list[int]] = {}
+    for j in range(X.shape[1]):
+        groups.setdefault(mask[:, j].tobytes(), []).append(j)
+    for key, dims in groups.items():
+        rows = np.flatnonzero(np.frombuffer(key, dtype=bool))
+        values = X[np.ix_(rows, dims)]
+        values[0] = 0.0
+        values[-1] = 0.0
+        yield rows, np.asarray(dims), t[rows], values
+
+
+def select_nodes(fseg: FeaturalSegmentation) -> list[DimensionNodes]:
+    """Per-dimension nodes: one column of each ``node_patterns`` block."""
+    nodes = {}
+    for rows, dims, times, values in node_patterns(fseg.t, fseg.X, fseg.specified):
+        intervals = fseg.Y[rows]
+        for j, column in zip(dims.tolist(), values.T.copy()):
+            nodes[j] = DimensionNodes(j, times, column, rows, intervals)
+    return [nodes[j] for j in range(fseg.dimension)]
 
 
 def _segment_index(times: np.ndarray, taus: np.ndarray) -> np.ndarray:
     idx = np.searchsorted(times, taus, side="right") - 1
-    return np.clip(idx, 0, times.size - 2)
+    return np.minimum(np.maximum(idx, 0), times.size - 2)  # np.clip, without its overhead
 
 
-def _eval_linear(times: np.ndarray, values: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    idx = _segment_index(times, taus)
-    h = times[idx + 1] - times[idx]
-    s = (taus - times[idx]) / h
-    va, vb = values[idx], values[idx + 1]
-    return va + (vb - va) * (s if values.ndim == 1 else s[:, None])
-
-
-def _eval_hermite(times: np.ndarray, values: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    idx = _segment_index(times, taus)
-    h = times[idx + 1] - times[idx]
-    s = (taus - times[idx]) / h
-    w = 3.0 * s**2 - 2.0 * s**3
-    va, vb = values[idx], values[idx + 1]
-    return va + (vb - va) * (w if values.ndim == 1 else w[:, None])
+def moment_bands(h: np.ndarray) -> np.ndarray:
+    """Tridiagonal matrix of the natural-spline moment system for segment
+    lengths ``h``, in ``solve_banded((1, 1), ...)`` layout."""
+    q = h.size - 1
+    ab = np.zeros((3, q))
+    ab[1, :] = 2.0 * (h[:-1] + h[1:])
+    if q > 1:
+        ab[0, 1:] = h[1:q]
+        ab[2, :-1] = h[1:q]
+    return ab
 
 
 def natural_moments(times: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -176,54 +182,66 @@ def natural_moments(times: np.ndarray, values: np.ndarray) -> np.ndarray:
 
     ``values`` may be (m,) or (m, c); the boundary moments are zero.
     """
-    m = times.size
     out = np.zeros_like(values, dtype=float)
-    if m < 3:
+    if times.size < 3:
         return out
     h = np.diff(times)
-    q = m - 2
-    ab = np.zeros((3, q))
-    ab[1, :] = 2.0 * (h[:-1] + h[1:])
-    if q > 1:
-        ab[0, 1:] = h[1:q]
-        ab[2, :-1] = h[1:q]
     dv = np.diff(values, axis=0)
     slope = dv / (h if values.ndim == 1 else h[:, None])
     r = 6.0 * np.diff(slope, axis=0)
-    out[1:-1] = solve_banded((1, 1), ab, r)
+    out[1:-1] = solve_banded((1, 1), moment_bands(h), r)
     return out
 
 
-def _eval_natural(
-    times: np.ndarray, values: np.ndarray, taus: np.ndarray, moments: np.ndarray | None = None
-) -> np.ndarray:
-    M = natural_moments(times, values) if moments is None else moments
-    idx = _segment_index(times, taus)
-    h = times[idx + 1] - times[idx]
-    ta = times[idx]
-    a, b = taus - ta, times[idx + 1] - taus
-    if values.ndim == 2:
-        h, a, b = h[:, None], a[:, None], b[:, None]
-    Ma, Mb = M[idx], M[idx + 1]
-    va, vb = values[idx], values[idx + 1]
-    return (
-        Ma * b**3 / (6.0 * h)
-        + Mb * a**3 / (6.0 * h)
-        + (va - Ma * h * h / 6.0) * (b / h)
-        + (vb - Mb * h * h / 6.0) * (a / h)
-    )
-
-
-def _eval_piecewise_constant(nodes: DimensionNodes, taus: np.ndarray) -> np.ndarray:
-    if nodes.intervals is None:
-        raise ForwardError("piecewise-constant evaluation needs target intervals")
-    live = nodes.intervals[:, 1] > nodes.intervals[:, 0]
+def _piecewise_constant(intervals: np.ndarray, values: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Value of the target whose interval holds each tau, the last one closed
+    at its end.  Degenerate intervals, such as the boundary rows', hold none."""
+    live = intervals[:, 1] > intervals[:, 0]
     if not np.any(live):
         raise ForwardError("piecewise-constant needs at least one non-degenerate interval")
-    starts = nodes.intervals[live, 0]
-    vals = nodes.values[live]
+    starts = intervals[live, 0]
     idx = np.clip(np.searchsorted(starts, taus, side="right") - 1, 0, starts.size - 1)
-    return vals[idx]
+    return values[live][idx]
+
+
+def _evaluate(
+    method: InterpMethod,
+    times: np.ndarray,
+    values: np.ndarray,
+    taus: np.ndarray,
+    intervals: np.ndarray | None = None,
+) -> np.ndarray:
+    """The interpolant through nodes (times, values) at ``taus``.
+
+    ``values`` may be (m,) or (m, c).  Piecewise-constant reads the nodes'
+    target ``intervals`` instead of their times.
+    """
+    if method is InterpMethod.PIECEWISE_CONSTANT:
+        if intervals is None:
+            raise ForwardError("piecewise-constant evaluation needs target intervals")
+        return _piecewise_constant(intervals, values, taus)
+    idx = _segment_index(times, taus)
+    ta, tb = times[idx], times[idx + 1]
+    h = tb - ta
+    va, vb = values[idx], values[idx + 1]
+    if method is InterpMethod.NATURAL_CUBIC:
+        M = natural_moments(times, values)
+        Ma, Mb = M[idx], M[idx + 1]
+        a, b = taus - ta, tb - taus
+        if values.ndim == 2:
+            h, a, b = h[:, None], a[:, None], b[:, None]
+        return (
+            Ma * b**3 / (6.0 * h)
+            + Mb * a**3 / (6.0 * h)
+            + (va - Ma * h * h / 6.0) * (b / h)
+            + (vb - Mb * h * h / 6.0) * (a / h)
+        )
+    s = (taus - ta) / h
+    if method is InterpMethod.CUBIC_HERMITE:
+        s = 3.0 * s**2 - 2.0 * s**3
+    elif method is not InterpMethod.LINEAR:
+        raise ForwardError(f"unknown method {method}")
+    return va + (vb - va) * (s if values.ndim == 1 else s[:, None])
 
 
 def _check_range(times: np.ndarray, taus: np.ndarray) -> None:
@@ -242,17 +260,8 @@ def interpolate(nodes: DimensionNodes, method: InterpMethod, tau) -> float | np.
     """
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     _check_range(nodes.times, taus)
-    if method is InterpMethod.PIECEWISE_CONSTANT:
-        out = _eval_piecewise_constant(nodes, taus)
-    elif method is InterpMethod.LINEAR:
-        out = _eval_linear(nodes.times, nodes.values, taus)
-    elif method is InterpMethod.CUBIC_HERMITE:
-        out = _eval_hermite(nodes.times, nodes.values, taus)
-    elif method is InterpMethod.NATURAL_CUBIC:
-        out = _eval_natural(nodes.times, nodes.values, taus)
-    else:
-        raise ForwardError(f"unknown method {method}")
-    return float(out[0]) if np.isscalar(tau) or np.asarray(tau).ndim == 0 else out
+    out = _evaluate(method, nodes.times, nodes.values, taus, nodes.intervals)
+    return float(out[0]) if np.ndim(tau) == 0 else out
 
 
 def second_derivative(nodes: DimensionNodes, method: InterpMethod, tau) -> float | np.ndarray:
@@ -274,42 +283,28 @@ def second_derivative(nodes: DimensionNodes, method: InterpMethod, tau) -> float
     else:
         M = natural_moments(times, values)
         out = M[idx] * (1.0 - s) + M[idx + 1] * s
-    return float(out[0]) if np.isscalar(tau) or np.asarray(tau).ndim == 0 else out
+    return float(out[0]) if np.ndim(tau) == 0 else out
 
 
-def _synthesize_interpolating(
+def _trajectory(
+    utterance_id: str,
     t: np.ndarray,
     X: np.ndarray,
     specified: np.ndarray,
     method: InterpMethod,
-    taus: np.ndarray,
-) -> np.ndarray:
-    """Evaluate all dimensions, batching those that share a node pattern."""
-    n, d = taus.size, X.shape[1]
-    frames = np.empty((n, d))
-    mask = specified.copy()
-    mask[0, :] = True
-    mask[-1, :] = True
-    patterns: dict[bytes, list[int]] = {}
-    for j in range(d):
-        patterns.setdefault(mask[:, j].tobytes(), []).append(j)
-    for key, dims in patterns.items():
-        col = np.frombuffer(key, dtype=bool)
-        rows = np.flatnonzero(col)
-        times = t[rows]
-        values = X[np.ix_(rows, dims)].copy()
-        values[rows == 0, :] = 0.0
-        values[rows == X.shape[0] - 1, :] = 0.0
-        if method is InterpMethod.LINEAR:
-            out = _eval_linear(times, values, taus)
-        elif method is InterpMethod.CUBIC_HERMITE:
-            out = _eval_hermite(times, values, taus)
-        elif method is InterpMethod.NATURAL_CUBIC:
-            out = _eval_natural(times, values, taus)
-        else:
-            raise ForwardError(f"unsupported method {method}")
-        frames[:, dims] = out
-    return frames
+    frame_rate: float,
+    Y: np.ndarray | None = None,
+) -> Trajectory:
+    """Evaluate every node-pattern block of the targets on the frame grid."""
+    taus = frame_times(float(t[-1]), frame_rate)
+    if taus.size == 0:
+        raise ForwardError(f"{utterance_id}: utterance shorter than one frame")
+    frames = np.empty((taus.size, X.shape[1]))
+    for rows, dims, times, values in node_patterns(t, X, specified):
+        frames[:, dims] = _evaluate(method, times, values, taus, None if Y is None else Y[rows])
+    if not np.all(np.isfinite(frames)):
+        raise ForwardError(f"{utterance_id}: non-finite trajectory values")
+    return Trajectory(utterance_id, frame_rate, frames)
 
 
 def synthesize(
@@ -318,22 +313,12 @@ def synthesize(
     """Sample the interpolant of every dimension on the fixed frame grid."""
     if fseg.num_targets < 1:
         raise ForwardError(f"{fseg.utterance_id}: segmentation has no targets")
-    taus = frame_times(fseg.duration, frame_rate)
-    if taus.size == 0:
-        raise ForwardError(f"{fseg.utterance_id}: utterance shorter than one frame")
-    if method is InterpMethod.PIECEWISE_CONSTANT:
-        if not np.all(fseg.specified):
-            raise ForwardError(
-                f"{fseg.utterance_id}: piecewise-constant requires a fully specified feature set"
-            )
-        starts = fseg.Y[1:-1, 0]
-        idx = np.clip(np.searchsorted(starts, taus, side="right") - 1, 0, starts.size - 1)
-        frames = fseg.X[1 + idx, :]
-    else:
-        frames = _synthesize_interpolating(fseg.t, fseg.X, fseg.specified, method, taus)
-    if not np.all(np.isfinite(frames)):
-        raise ForwardError(f"{fseg.utterance_id}: non-finite trajectory values")
-    return Trajectory(fseg.utterance_id, frame_rate, frames)
+    if method is InterpMethod.PIECEWISE_CONSTANT and not np.all(fseg.specified):
+        raise ForwardError(
+            f"{fseg.utterance_id}: piecewise-constant requires a fully specified feature set"
+        )
+    return _trajectory(fseg.utterance_id, fseg.t, fseg.X, fseg.specified, method,
+                       frame_rate, fseg.Y)
 
 
 def synthesize_targets(
@@ -350,8 +335,4 @@ def synthesize_targets(
     """
     if method is InterpMethod.PIECEWISE_CONSTANT:
         raise ForwardError("piecewise-constant needs a featural segmentation with intervals")
-    taus = frame_times(float(t[-1]), frame_rate)
-    frames = _synthesize_interpolating(t, X, ~np.isnan(X), method, taus)
-    if not np.all(np.isfinite(frames)):
-        raise ForwardError(f"{utterance_id}: non-finite trajectory values")
-    return Trajectory(utterance_id, frame_rate, frames)
+    return _trajectory(utterance_id, t, X, ~np.isnan(X), method, frame_rate)

@@ -13,7 +13,7 @@ h/3 * (A^2 + A*B + B^2) with A, B the curvature at its ends.
 
 Gradients are analytic.  The Hermite case is local; the natural-cubic case
 differentiates through the tridiagonal moment system with one adjoint solve
-per dimension.  Both are validated against central finite differences by
+per node pattern (``forward.node_patterns``), shared by its dimensions.  Both are validated against central finite differences by
 ``gradient_check``.
 
 Boundary rows are frozen (zero positions, fixed timings); unknown entries
@@ -27,7 +27,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .alignment import FeaturalSegmentation
-from .forward import CUBIC_METHODS, InterpMethod, natural_moments
+from .forward import CUBIC_METHODS, InterpMethod, moment_bands, natural_moments, node_patterns
 
 DEFAULT_MIN_GAP = 1e-3  # seconds between consecutive projected timings
 
@@ -88,34 +88,23 @@ class OptimizedTargets:
                 f.write(f"{k + 1},{self.t[k]:.9g}," + ",".join(cells) + "\n")
 
 
-def _dims_nodes(t: np.ndarray, X: np.ndarray, mask: np.ndarray):
-    """Yield (dim, rows, times, values) with boundary rows always included."""
-    m = mask.copy()
-    m[0, :] = True
-    m[-1, :] = True
-    last = X.shape[0] - 1
-    for j in range(X.shape[1]):
-        rows = np.flatnonzero(m[:, j])
-        values = X[rows, j].copy()
-        values[rows == 0] = 0.0
-        values[rows == last] = 0.0
-        yield j, rows, t[rows], values
-
-
 def _segment_curvature_energy(h: np.ndarray, A: np.ndarray, B: np.ndarray) -> float:
     """Closed form of the integral of a piecewise-linear curvature squared."""
     return float(np.sum(h / 3.0 * (A * A + A * B + B * B)))
 
 
 def smoothness_term(times: np.ndarray, values: np.ndarray, method: InterpMethod) -> float:
-    """Exact integral of g''(tau)^2 over the node span, one dimension."""
+    """Exact integral of g''(tau)^2 over the node span, summed over the
+    columns of ``values``, which may be (m,) or (m, c)."""
     if method not in CUBIC_METHODS:
         raise OptimizeError(f"smoothness objective defined for cubic methods, not {method.value}")
     if times.size < 2:
         return 0.0
     h = np.diff(times)
+    if values.ndim == 2:
+        h = h[:, None]
     if method is InterpMethod.CUBIC_HERMITE:
-        dv = np.diff(values)
+        dv = np.diff(values, axis=0)
         return float(np.sum(12.0 * dv * dv / h**3))
     M = natural_moments(times, values)
     return _segment_curvature_energy(h, M[:-1], M[1:])
@@ -142,9 +131,8 @@ def objective_terms(
     lam: float,
     method: InterpMethod,
 ) -> tuple[float, float]:
-    smooth = 0.0
-    for _, _, times, values in _dims_nodes(t, X, mask):
-        smooth += smoothness_term(times, values, method)
+    smooth = sum((smoothness_term(times, values, method)
+                  for _, _, times, values in node_patterns(t, X, mask)), 0.0)
     return smooth, lam * attainment_term(X, X_orig, mask)
 
 
@@ -161,57 +149,44 @@ def objective(
     return smooth + attain
 
 
-def _hermite_dim_gradients(times, values):
-    """d(smoothness)/d(value), d(smoothness)/d(time) for one Hermite dimension."""
+def _smoothness_gradients(times: np.ndarray, values: np.ndarray, method: InterpMethod):
+    """Gradients of the curvature integral of one node-pattern block.
+
+    Returns d/d(values), shaped (m, c) like ``values``, and d/d(times), (m,),
+    summed over the block's columns.  The natural-cubic case makes one
+    adjoint solve for all columns.
+    """
     m = times.size
-    gv = np.zeros(m)
+    gv = np.zeros_like(values)
     gt = np.zeros(m)
-    if m < 2:
-        return gv, gt
     h = np.diff(times)
-    dv = np.diff(values)
-    gseg = 24.0 * dv / h**3  # d(term_i)/d(v_{i+1})
-    gv[1:] += gseg
-    gv[:-1] -= gseg
-    tseg = -36.0 * dv * dv / h**4  # d(term_i)/d(h_i)
-    gt[1:] += tseg  # dh_i/dtau_{i+1} = +1
-    gt[:-1] -= tseg  # dh_i/dtau_i = -1
-    return gv, gt
+    hc = h[:, None]
+    dv = np.diff(values, axis=0)
+    if method is InterpMethod.CUBIC_HERMITE:
+        gseg = 24.0 * dv / hc**3  # d(term_i)/d(v_{i+1})
+        gv[1:] += gseg
+        gv[:-1] -= gseg
+        gh = -36.0 * dv * dv / hc**4  # d(term_i)/d(h_i)
+    else:
+        if m < 3:
+            return gv, gt  # two nodes: the spline is a line, zero curvature
+        M = natural_moments(times, values)
+        # Adjoint solve: T w = d(phi)/dM_interior, same matrix as the moment system.
+        b = hc[:-1] * (M[:-2] + 2.0 * M[1:-1]) / 3.0 + hc[1:] * (2.0 * M[1:-1] + M[2:]) / 3.0
+        w = solve_banded((1, 1), moment_bands(h), b)
 
+        # Value gradient: w^T dr/dv with r_j = 6*(slope_{j+1} - slope_j).
+        gv[2:] += 6.0 * w / hc[1:]
+        gv[1:-1] -= 6.0 * w / hc[1:] + 6.0 * w / hc[:-1]
+        gv[:-2] += 6.0 * w / hc[:-1]
 
-def _natural_dim_gradients(times, values):
-    """Adjoint-method gradients of the curvature integral, one natural-cubic dim."""
-    m = times.size
-    gv = np.zeros(m)
-    gt = np.zeros(m)
-    if m < 3:
-        return gv, gt  # two nodes: the spline is a line, zero curvature
-    h = np.diff(times)
-    M = natural_moments(times, values)
-    e = (M[:-1] ** 2 + M[:-1] * M[1:] + M[1:] ** 2) / 3.0
-
-    # Adjoint solve: T w = d(phi)/dM_interior, same matrix as the moment system.
-    q = m - 2
-    b = h[:-1] * (M[:-2] + 2.0 * M[1:-1]) / 3.0 + h[1:] * (2.0 * M[1:-1] + M[2:]) / 3.0
-    ab = np.zeros((3, q))
-    ab[1, :] = 2.0 * (h[:-1] + h[1:])
-    if q > 1:
-        ab[0, 1:] = h[1:q]
-        ab[2, :-1] = h[1:q]
-    w = solve_banded((1, 1), ab, b)
-
-    # Value gradient: w^T dr/dv with r_j = 6*(slope_{j+1} - slope_j).
-    gv[2:] += 6.0 * w / h[1:]
-    gv[1:-1] -= 6.0 * w / h[1:] + 6.0 * w / h[:-1]
-    gv[:-2] += 6.0 * w / h[:-1]
-
-    # Timing gradient through h: explicit e_i plus w^T d(r - T M)/dh.
-    gh = e.copy()
-    dv = np.diff(values)
-    gh[:-1] += w * (6.0 * dv[:-1] / h[:-1] ** 2 - (M[:-2] + 2.0 * M[1:-1]))
-    gh[1:] += w * (-6.0 * dv[1:] / h[1:] ** 2 - (2.0 * M[1:-1] + M[2:]))
-    gt[1:] += gh
-    gt[:-1] -= gh
+        # Timing gradient through h: explicit e_i plus w^T d(r - T M)/dh.
+        gh = (M[:-1] ** 2 + M[:-1] * M[1:] + M[1:] ** 2) / 3.0
+        gh[:-1] += w * (6.0 * dv[:-1] / hc[:-1] ** 2 - (M[:-2] + 2.0 * M[1:-1]))
+        gh[1:] += w * (-6.0 * dv[1:] / hc[1:] ** 2 - (2.0 * M[1:-1] + M[2:]))
+    gh = gh.sum(axis=1)
+    gt[1:] += gh  # dh_i/dtau_{i+1} = +1
+    gt[:-1] -= gh  # dh_i/dtau_i = -1
     return gv, gt
 
 
@@ -232,14 +207,11 @@ def gradients(
         raise OptimizeError(f"gradients defined for cubic methods, not {method.value}")
     gX = np.zeros_like(X)
     gt = np.zeros_like(t)
-    for j, rows, times, values in _dims_nodes(t, X, mask):
-        if method is InterpMethod.CUBIC_HERMITE:
-            gv, gtau = _hermite_dim_gradients(times, values)
-        else:
-            gv, gtau = _natural_dim_gradients(times, values)
-        inner = (rows > 0) & (rows < X.shape[0] - 1)
-        gX[rows[inner], j] += gv[inner]
-        np.add.at(gt, rows[inner], gtau[inner])
+    for rows, dims, times, values in node_patterns(t, X, mask):
+        gv, gtau = _smoothness_gradients(times, values, method)
+        inner = rows[1:-1]  # boundary rows are frozen
+        gX[np.ix_(inner, dims)] = gv[1:-1]
+        gt[inner] += gtau[1:-1]
     if lam > 0:
         inner = mask[1:-1]
         gX[1:-1] += np.where(inner, 2.0 * lam * (X[1:-1] - X_orig[1:-1]), 0.0)

@@ -81,6 +81,24 @@ def test_config_validates_method_and_splits():
         ExperimentConfig(dataset_root="/d", speakers=("a",), split_sizes=(5, 0, 1))
 
 
+def test_config_rejects_frame_rate_other_than_100(tmp_path):
+    with pytest.raises(ConfigError, match="frame_rate"):
+        ExperimentConfig(dataset_root="/d", speakers=("a",), frame_rate=200.0)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dataset_root": str(tmp_path), "speakers": ["a"],
+                                "frame_rate": 200.0}), encoding="utf-8")
+    assert cli.main(["run", "--config", str(path)]) == 1
+
+
+def test_config_naming_jobs_rejected(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dataset_root": str(tmp_path), "speakers": ["a"],
+                                "jobs": 2}), encoding="utf-8")
+    with pytest.raises(ConfigError, match="unknown config fields"):
+        ExperimentConfig.from_file(path)
+    assert cli.main(["run", "--config", str(path)]) == 1
+
+
 # ---------------------------------------------------------------------------
 # synthetic data and the full pipeline
 # ---------------------------------------------------------------------------
@@ -227,6 +245,30 @@ def test_grid_eval_records_each_points_own_time(tiny_root, tmp_path, monkeypatch
     assert seconds[1e4] >= 0.5 > max(seconds[0.0], seconds[1e3])
 
 
+def test_grid_records_diverged_point_as_failed(tiny_root, tmp_path):
+    cfg = small_grid_cfg(tiny_root, tmp_path, timing_lrs=[1e-5],
+                         position_lrs=[1e-2, 1e150], lambdas=[0.0])
+    cfg_path = tmp_path / "grid.json"
+    cfg_path.write_text(cfg.to_json(), encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    grid = json.loads((Path(cfg.out_dir) / "grid.json").read_text())
+    finite, diverged = grid["points"]
+    assert np.isfinite(finite["dev_score"]) and "error" not in finite
+    assert diverged["dev_score"] is None and "diverged" in diverged["error"]
+    assert grid["best"]["position_lr"] == 1e-2
+    manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
+    evals = [s for s in manifest["stages"] if s["stage"] == "grid-eval"]
+    assert [s["dev_score"] is None for s in evals] == [False, True]
+    assert evals[1]["error"] == diverged["error"]
+
+
+def test_grid_fails_when_every_point_diverges(tiny_root, tmp_path):
+    cfg = small_grid_cfg(tiny_root, tmp_path, timing_lrs=[1e-5],
+                         position_lrs=[1e150], lambdas=[0.0])
+    with pytest.raises(ConfigError, match="every grid point failed"):
+        grid_search(cfg)
+
+
 def test_grid_requires_optimization(tiny_root, tmp_path):
     cfg = synthetic_config(tiny_root, utterances=14, speakers=1,
                            out_dir=str(tmp_path / "g"))
@@ -286,6 +328,21 @@ def test_cache_invalidated_when_feature_table_changes(tmp_path):
     table.write_text("\n".join(lines) + "\n", encoding="utf-8")
     _, manifest = run_experiment(cfg)
     assert manifest.stages and not any(s["cached"] for s in manifest.stages)
+
+
+def test_cache_keys_cover_package_source(tmp_path, monkeypatch):
+    root = tmp_path / "ds"
+    generate_synthetic(root, speakers=1, utterances=14, dim=4, seed=9)
+    cfg = synthetic_config(root, utterances=14, speakers=1,
+                           out_dir=str(tmp_path / "out"))
+    run_experiment(cfg)
+    _, manifest = run_experiment(cfg)
+    assert manifest.stages and all(s["cached"] for s in manifest.stages)
+    monkeypatch.setattr(cli, "_source_digest", lambda: "edited source")
+    _, manifest = run_experiment(cfg)
+    stages = [s for s in manifest.stages
+              if s["stage"].startswith(("prepare/", "score/"))]
+    assert len(stages) == 2 and not any(s["cached"] for s in stages)
 
 
 # ---------------------------------------------------------------------------
@@ -357,5 +414,5 @@ def test_cli_overrides(tmp_path):
     cfg_path.write_text(cfg.to_json(), encoding="utf-8")
     out_b = tmp_path / "out_b"
     assert cli.main(["run", "--config", str(cfg_path), "--out", str(out_b),
-                     "--method", "cubic_hermite", "--jobs", "2"]) == 0
+                     "--method", "cubic_hermite"]) == 0
     assert (out_b / "report.csv").exists()

@@ -8,6 +8,7 @@ from phonotraj.forward import (
     ForwardError,
     InterpMethod,
     frame_count,
+    frame_times,
     interpolate,
     load_binary,
     second_derivative,
@@ -283,6 +284,21 @@ def test_synthesis_is_finite_for_random_masks():
             traj = synthesize(fseg, m, 100.0)
             assert np.all(np.isfinite(traj.frames))
             assert traj.frames.shape[0] == frame_count(fseg.duration, 100.0)
+
+
+def test_synthesis_columns_equal_single_dimension_interpolants():
+    # The batched node-pattern path and the per-dimension API agree.
+    rng = np.random.default_rng(10)
+    for _ in range(20):
+        fseg = random_fseg(rng, k=int(rng.integers(1, 12)), d=int(rng.integers(1, 12)),
+                           unknown_prob=0.4)
+        taus = frame_times(fseg.duration, 100.0)
+        dims = select_nodes(fseg)
+        for m in INTERPOLATING:
+            frames = synthesize(fseg, m, 100.0).frames
+            for j, dn in enumerate(dims):
+                np.testing.assert_allclose(frames[:, j], interpolate(dn, m, taus),
+                                           rtol=0, atol=1e-12)
 
 
 def test_synthesize_targets_matches_synthesize_at_midpoints():

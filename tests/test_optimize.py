@@ -160,6 +160,29 @@ def test_gradient_check_flat_objective():
     assert gradient_check(fseg, N, OptimConfig(), 1e-5) < 1e-7
 
 
+def test_pattern_blocks_equal_per_dimension_sums():
+    # One column at a time is one node pattern at a time: the batched
+    # objective and gradients are the sums of the per-dimension ones, up to
+    # the order in which the timing terms and smoothness are summed.
+    rng = np.random.default_rng(11)
+    for m in (H, N):
+        for _ in range(10):
+            fseg = random_fseg(rng, k=8, d=12, unknown_prob=0.4)
+            X = fseg.X + rng.normal(scale=0.1, size=fseg.X.shape)
+            args = (fseg.specified, fseg.X, 1e2, m)
+            gX, gt = gradients(fseg.t, X, *args)
+            cols = [gradients(fseg.t, X[:, [j]], fseg.specified[:, [j]], fseg.X[:, [j]],
+                              1e2, m) for j in range(X.shape[1])]
+            np.testing.assert_array_equal(gX, np.hstack([c[0] for c in cols]))
+            np.testing.assert_allclose(gt, sum(c[1] for c in cols), rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(gt)))
+            smooth, _ = objective_terms(fseg.t, X, *args)
+            per_dim = sum(objective_terms(fseg.t, X[:, [j]], fseg.specified[:, [j]],
+                                          fseg.X[:, [j]], 1e2, m)[0]
+                          for j in range(X.shape[1]))
+            assert smooth == pytest.approx(per_dim, rel=1e-12)
+
+
 def test_frozen_coordinates_report_zero_gradient():
     rng = np.random.default_rng(5)
     fseg = random_fseg(rng, k=4, d=3)
