@@ -42,6 +42,7 @@ from .probe import ProbeError, ScoreReport, aggregate, score, train_probe
 log = logging.getLogger(__name__)
 
 REPLICATION_SPLITS = (390, 20, 50)  # train (without dev), dev, test
+GRID_AXES = ("timing_lrs", "position_lrs", "lambdas")  # grid_configs' axes
 
 
 class ConfigError(ValueError):
@@ -76,6 +77,10 @@ class ExperimentConfig:
         if self.split_sizes[0] < 1 or self.split_sizes[1] < 1 or self.split_sizes[2] < 1:
             raise ConfigError("every split needs at least one utterance")
         InterpMethod.from_id(self.method)  # validate early
+        unknown = set(self.grid or {}) - set(GRID_AXES)
+        if unknown:
+            raise ConfigError(f"unknown grid axes {sorted(unknown)}; "
+                              f"known: {', '.join(GRID_AXES)}")
         if self.frame_rate != 100.0:
             raise ConfigError(
                 f"frame_rate {self.frame_rate} Hz: trajectories must be sampled at the "
@@ -400,11 +405,8 @@ def grid_search(
     """
     if not cfg.wants_optimization:
         raise ConfigError("grid search requires optimization to be enabled")
-    axes = cfg.grid or {}
     configs = grid_configs(
-        timing_lrs=axes.get("timing_lrs", (1e-6, 5e-6, 1e-5, 5e-5, 1e-4)),
-        position_lrs=axes.get("position_lrs", (1e-3, 1e-2, 1e-1)),
-        lambdas=axes.get("lambdas", (0.0, 1e3, 1e4, 1e5, 1e6, 1e7)),
+        **(cfg.grid or {}),
         optimize_timing=cfg.optimize_timing,
         optimize_position=cfg.optimize_position,
         max_steps=cfg.max_steps,

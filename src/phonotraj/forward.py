@@ -13,13 +13,17 @@ Unknown feature entries have no node: each dimension interpolates through
 its specified targets only, so the interpolant supplies context-dependent
 values.  The zero boundary targets act as nodes in every dimension.
 ``node_patterns`` groups the dimensions that share a node mask into one
-block; synthesis, the optimizer and ``select_nodes`` all read those blocks.
+block; the optimizer and ``select_nodes`` read those blocks.  Synthesis
+evaluates one flat table per utterance: each segment's polynomial
+coefficients (the pp-form) for every dimension, with all natural-cubic
+moments from one banded solve.
 """
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +85,11 @@ class DimensionNodes:
         if not np.all(np.isfinite(self.values)):
             raise ForwardError(f"dimension {self.dim}: non-finite node value")
 
+    @cached_property
+    def _natural(self) -> tuple:
+        """Natural-cubic segment table, its moments solved on first use."""
+        return _segment_table(InterpMethod.NATURAL_CUBIC, self.times, self.values, [0, -1])
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -128,17 +137,22 @@ def frame_times(duration: float, frame_rate: float) -> np.ndarray:
     return np.minimum((np.arange(n) + 1) / frame_rate, duration)
 
 
+def _node_mask(specified: np.ndarray) -> np.ndarray:
+    """Every dimension's nodes: both boundary rows plus its specified rows."""
+    mask = specified.copy()
+    mask[0, :] = True
+    mask[-1, :] = True
+    return mask
+
+
 def node_patterns(t: np.ndarray, X: np.ndarray, specified: np.ndarray):
     """Group the dimensions of targets (t, X) by their node mask.
 
-    A dimension's nodes are both boundary rows plus its specified rows.
     Yields ``(rows, dims, times, values)`` per distinct mask, where
     ``values`` is the (m, c) block ``X[rows][:, dims]`` with the boundary
     rows set to 0, their target by construction.
     """
-    mask = specified.copy()
-    mask[0, :] = True
-    mask[-1, :] = True
+    mask = _node_mask(specified)
     groups: dict[bytes, list[int]] = {}
     for j in range(X.shape[1]):
         groups.setdefault(mask[:, j].tobytes(), []).append(j)
@@ -158,11 +172,6 @@ def select_nodes(fseg: FeaturalSegmentation) -> list[DimensionNodes]:
         for j, column in zip(dims.tolist(), values.T.copy()):
             nodes[j] = DimensionNodes(j, times, column, rows, intervals)
     return [nodes[j] for j in range(fseg.dimension)]
-
-
-def _segment_index(times: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(times, taus, side="right") - 1
-    return np.minimum(np.maximum(idx, 0), times.size - 2)  # np.clip, without its overhead
 
 
 def moment_bands(h: np.ndarray) -> np.ndarray:
@@ -185,11 +194,52 @@ def natural_moments(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     out = np.zeros_like(values, dtype=float)
     if times.size < 3:
         return out
-    h = np.diff(times)
-    dv = np.diff(values, axis=0)
-    slope = dv / (h if values.ndim == 1 else h[:, None])
-    r = 6.0 * np.diff(slope, axis=0)
+    h = times[1:] - times[:-1]
+    slope = (values[1:] - values[:-1]) / (h if values.ndim == 1 else h[:, None])
+    r = 6.0 * (slope[1:] - slope[:-1])
     out[1:-1] = solve_banded((1, 1), moment_bands(h), r)
+    return out
+
+
+def _segment_table(method: InterpMethod, times: np.ndarray, values: np.ndarray,
+                   ends) -> tuple:
+    """Segment lengths and polynomial coefficients (pp-form) of the
+    interpolant through a flat list of nodes.
+
+    Entry p of the coefficients holds, per segment i (node i to node i + 1),
+    the coefficient of s**p in s = (tau - t_i) / h_i, or None where it is 0
+    for every segment.  Dimensions may follow one another in the list;
+    ``ends`` indexes their first and last nodes, and the segments joining
+    two dimensions are never read.  All natural-cubic moments come from one
+    banded solve: an end node's row is M = 0 with no coupling, so LAPACK's
+    ``gtsv`` never pivots and eliminates across it with multiplier 0, and
+    each dimension gets the numbers ``natural_moments`` gives.
+    """
+    h, dv = times[1:] - times[:-1], values[1:] - values[:-1]
+    if method is InterpMethod.LINEAR:
+        return h, (values, dv)
+    if method is InterpMethod.CUBIC_HERMITE:
+        return h, (values, None, 3.0 * dv, -2.0 * dv)
+    inner = np.ones(times.size, dtype=bool)
+    inner[ends] = False
+    ab = np.zeros((3, times.size))
+    ab[0, 1:] = ab[2, :-1] = np.where(inner[:-1] & inner[1:], h, 0.0)
+    ab[1] = 1.0
+    ab[1, 1:-1] = np.where(inner[1:-1], 2.0 * (h[:-1] + h[1:]), 1.0)
+    r = np.zeros(times.size)
+    r[1:-1] = np.where(inner[1:-1], 6.0 * np.diff(dv / h), 0.0)
+    M = solve_banded((1, 1), ab, r, check_finite=False)  # synthesis checks its frames
+    hh, Ma, Mb = h * h, M[:-1], M[1:]
+    return h, (values, dv - hh * (2.0 * Ma + Mb) / 6.0, hh * Ma / 2.0, hh * (Mb - Ma) / 6.0)
+
+
+def _horner(table: tuple, idx: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The pieces ``idx`` of a segment table at their local coordinates ``s``."""
+    out = table[-1].take(idx)
+    for c in reversed(table[:-1]):
+        out *= s
+        if c is not None:
+            out += c.take(idx)
     return out
 
 
@@ -204,51 +254,21 @@ def _piecewise_constant(intervals: np.ndarray, values: np.ndarray, taus: np.ndar
     return values[live][idx]
 
 
-def _evaluate(
-    method: InterpMethod,
-    times: np.ndarray,
-    values: np.ndarray,
-    taus: np.ndarray,
-    intervals: np.ndarray | None = None,
-) -> np.ndarray:
-    """The interpolant through nodes (times, values) at ``taus``.
-
-    ``values`` may be (m,) or (m, c).  Piecewise-constant reads the nodes'
-    target ``intervals`` instead of their times.
-    """
-    if method is InterpMethod.PIECEWISE_CONSTANT:
-        if intervals is None:
-            raise ForwardError("piecewise-constant evaluation needs target intervals")
-        return _piecewise_constant(intervals, values, taus)
-    idx = _segment_index(times, taus)
-    ta, tb = times[idx], times[idx + 1]
-    h = tb - ta
-    va, vb = values[idx], values[idx + 1]
-    if method is InterpMethod.NATURAL_CUBIC:
-        M = natural_moments(times, values)
-        Ma, Mb = M[idx], M[idx + 1]
-        a, b = taus - ta, tb - taus
-        if values.ndim == 2:
-            h, a, b = h[:, None], a[:, None], b[:, None]
-        return (
-            Ma * b**3 / (6.0 * h)
-            + Mb * a**3 / (6.0 * h)
-            + (va - Ma * h * h / 6.0) * (b / h)
-            + (vb - Mb * h * h / 6.0) * (a / h)
-        )
-    s = (taus - ta) / h
-    if method is InterpMethod.CUBIC_HERMITE:
-        s = 3.0 * s**2 - 2.0 * s**3
-    elif method is not InterpMethod.LINEAR:
-        raise ForwardError(f"unknown method {method}")
-    return va + (vb - va) * (s if values.ndim == 1 else s[:, None])
-
-
 def _check_range(times: np.ndarray, taus: np.ndarray) -> None:
     if np.any(taus < times[0] - 1e-12) or np.any(taus > times[-1] + 1e-12):
         raise ForwardError(
             f"evaluation time outside [{times[0]}, {times[-1]}]"
         )
+
+
+def _pieces(nodes: DimensionNodes, method: InterpMethod, taus: np.ndarray):
+    """One dimension's coefficients, and each tau's segment, local
+    coordinate and segment length."""
+    h, table = (nodes._natural if method is InterpMethod.NATURAL_CUBIC
+                else _segment_table(method, nodes.times, nodes.values, [0, -1]))
+    idx = np.searchsorted(nodes.times, taus, side="right") - 1
+    idx = np.minimum(np.maximum(idx, 0), h.size - 1)  # np.clip, without its overhead
+    return table, idx, (taus - nodes.times[idx]) / h[idx], h[idx]
 
 
 def interpolate(nodes: DimensionNodes, method: InterpMethod, tau) -> float | np.ndarray:
@@ -260,7 +280,13 @@ def interpolate(nodes: DimensionNodes, method: InterpMethod, tau) -> float | np.
     """
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     _check_range(nodes.times, taus)
-    out = _evaluate(method, nodes.times, nodes.values, taus, nodes.intervals)
+    if method is InterpMethod.PIECEWISE_CONSTANT:
+        if nodes.intervals is None:
+            raise ForwardError("piecewise-constant evaluation needs target intervals")
+        out = _piecewise_constant(nodes.intervals, nodes.values, taus)
+    else:
+        table, idx, s, _ = _pieces(nodes, method, taus)
+        out = _horner(table, idx, s)
     return float(out[0]) if np.ndim(tau) == 0 else out
 
 
@@ -274,15 +300,8 @@ def second_derivative(nodes: DimensionNodes, method: InterpMethod, tau) -> float
         raise ForwardError(f"second derivative undefined for {method.value}")
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     _check_range(nodes.times, taus)
-    times, values = nodes.times, nodes.values
-    idx = _segment_index(times, taus)
-    h = times[idx + 1] - times[idx]
-    s = (taus - times[idx]) / h
-    if method is InterpMethod.CUBIC_HERMITE:
-        out = (values[idx + 1] - values[idx]) * (6.0 - 12.0 * s) / h**2
-    else:
-        M = natural_moments(times, values)
-        out = M[idx] * (1.0 - s) + M[idx + 1] * s
+    (_, _, c2, c3), idx, s, h = _pieces(nodes, method, taus)
+    out = (2.0 * c2[idx] + 6.0 * c3[idx] * s) / (h * h)
     return float(out[0]) if np.ndim(tau) == 0 else out
 
 
@@ -295,13 +314,27 @@ def _trajectory(
     frame_rate: float,
     Y: np.ndarray | None = None,
 ) -> Trajectory:
-    """Evaluate every node-pattern block of the targets on the frame grid."""
+    """Evaluate one flat segment table of all dimensions on the frame grid."""
     taus = frame_times(float(t[-1]), frame_rate)
     if taus.size == 0:
         raise ForwardError(f"{utterance_id}: utterance shorter than one frame")
-    frames = np.empty((taus.size, X.shape[1]))
-    for rows, dims, times, values in node_patterns(t, X, specified):
-        frames[:, dims] = _evaluate(method, times, values, taus, None if Y is None else Y[rows])
+    if method is InterpMethod.PIECEWISE_CONSTANT:
+        frames = _piecewise_constant(Y, X, taus)
+    else:
+        mask = _node_mask(specified)
+        dims, rows = np.nonzero(mask.T)  # every dimension's nodes, dimension-major
+        times, values = t[rows], X[rows, dims]
+        count = np.cumsum(mask, axis=0)  # nodes of each dimension up to each row
+        first = np.cumsum(count[-1]) - count[-1]  # flat index of each dimension's row 0
+        last = first + count[-1] - 1
+        values[first] = values[last] = 0.0
+        h, table = _segment_table(method, times, values, np.concatenate((first, last)))
+        # Flat segment of each (row, dim), clipped to the dimension's own
+        # segments; then one row gather by the row that holds each frame.
+        seg = np.minimum(count - 1 + first, last - 1)
+        row = np.maximum(np.searchsorted(t, taus, side="right") - 1, 0)
+        idx = seg[row]
+        frames = _horner(table, idx, (taus[:, None] - times.take(idx)) / h.take(idx))
     if not np.all(np.isfinite(frames)):
         raise ForwardError(f"{utterance_id}: non-finite trajectory values")
     return Trajectory(utterance_id, frame_rate, frames)

@@ -90,6 +90,17 @@ def test_config_rejects_frame_rate_other_than_100(tmp_path):
     assert cli.main(["run", "--config", str(path)]) == 1
 
 
+def test_config_rejects_unknown_grid_axis(tmp_path):
+    # "lambda" for "lambdas" used to run the full default grid silently.
+    with pytest.raises(ConfigError, match="unknown grid axes"):
+        ExperimentConfig(dataset_root="/d", speakers=("a",), grid={"lambda": [0.0]})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dataset_root": str(tmp_path), "speakers": ["a"],
+                                "optimize_position": True, "grid": {"lambda": [0.0]}}),
+                    encoding="utf-8")
+    assert cli.main(["run", "--config", str(path)]) == 1
+
+
 def test_config_naming_jobs_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"dataset_root": str(tmp_path), "speakers": ["a"],

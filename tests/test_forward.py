@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from conftest import one_sided_derivative, random_fseg
+from phonotraj import forward
 from phonotraj.alignment import FeaturalSegmentation, Phone, PhoneSegmentation, build_featural
 from phonotraj.forward import (
     DimensionNodes,
@@ -11,6 +13,7 @@ from phonotraj.forward import (
     frame_times,
     interpolate,
     load_binary,
+    node_patterns,
     second_derivative,
     select_nodes,
     synthesize,
@@ -308,6 +311,59 @@ def test_synthesize_targets_matches_synthesize_at_midpoints():
         a = synthesize(fseg, m, 100.0)
         b = synthesize_targets("u", fseg.t, fseg.X, m, 100.0)
         np.testing.assert_allclose(a.frames, b.frames, atol=1e-12)
+
+
+def _reference(method, times, values):
+    if method is L:
+        return lambda x: np.interp(x, times, values)
+    if method is H:
+        return CubicHermiteSpline(times, values, np.zeros_like(values))
+    return CubicSpline(times, values, bc_type="natural")
+
+
+def test_synthesis_matches_numpy_and_scipy_interpolants():
+    # An oracle that shares no code with the segment table that synthesis
+    # and interpolate both read.  Column 0 keeps only its boundary nodes,
+    # column 1 has exactly three nodes; every fourth case has one target;
+    # odd cases move the timings off the interval midpoints.
+    rng = np.random.default_rng(11)
+    for case in range(40):
+        k = 1 if case % 4 == 0 else int(rng.integers(2, 12))
+        fseg = random_fseg(rng, k=k, d=int(rng.integers(2, 9)), unknown_prob=0.4)
+        X = fseg.X.copy()
+        X[1:-1, :2] = np.nan
+        X[int(rng.integers(1, k + 1)), 1] = rng.normal()
+        t = fseg.t.copy()
+        if case % 2:
+            gap = np.minimum(np.diff(t)[:-1], np.diff(t)[1:])
+            t[1:-1] += rng.uniform(-0.4, 0.4, size=k) * gap
+        taus = frame_times(t[-1], 100.0)
+        for m in INTERPOLATING:
+            if case % 2:
+                frames = synthesize_targets("u", t, X, m, 100.0).frames
+            else:
+                frames = synthesize(FeaturalSegmentation("u", X, fseg.Y, t), m, 100.0).frames
+            for j in range(X.shape[1]):
+                rows = np.flatnonzero(~np.isnan(X[:, j]))
+                ref = _reference(m, t[rows], X[rows, j])(taus)
+                np.testing.assert_allclose(frames[:, j], ref, rtol=0, atol=1e-9)
+
+
+def test_one_banded_solve_per_node_set_and_per_utterance(monkeypatch):
+    solves = []
+    real = forward.solve_banded
+    monkeypatch.setattr(forward, "solve_banded",
+                        lambda *a, **kw: solves.append(1) or real(*a, **kw))
+    dn = nodes([0.0, 0.3, 0.5, 0.9, 1.2], [0.0, 1.0, -0.5, 0.25, 0.0])
+    for tau in np.linspace(0.0, 1.2, 50):
+        interpolate(dn, N, tau)
+        second_derivative(dn, N, tau)
+    assert len(solves) == 1
+    solves.clear()
+    fseg = random_fseg(np.random.default_rng(12), k=10, d=12, unknown_prob=0.4)
+    assert len(list(node_patterns(fseg.t, fseg.X, fseg.specified))) > 1
+    synthesize(fseg, N, 100.0)
+    assert len(solves) == 1
 
 
 def test_trajectory_binary_round_trip(tmp_path):
