@@ -42,7 +42,8 @@ from .probe import ProbeError, ScoreReport, aggregate, score, train_probe
 log = logging.getLogger(__name__)
 
 REPLICATION_SPLITS = (390, 20, 50)  # train (without dev), dev, test
-GRID_AXES = ("timing_lrs", "position_lrs", "lambdas")  # grid_configs' axes
+# grid_configs' axes and the OptimConfig field each one sets
+GRID_AXES = {"timing_lrs": "timing_lr", "position_lrs": "position_lr", "lambdas": "lam"}
 
 
 class ConfigError(ValueError):
@@ -76,11 +77,22 @@ class ExperimentConfig:
             raise ConfigError(f"bad split sizes {self.split_sizes}")
         if self.split_sizes[0] < 1 or self.split_sizes[1] < 1 or self.split_sizes[2] < 1:
             raise ConfigError("every split needs at least one utterance")
-        InterpMethod.from_id(self.method)  # validate early
+        if not self.interp_method.is_cubic and self.wants_optimization:  # validates method
+            raise ConfigError("target optimization requires a cubic interpolation method")
         unknown = set(self.grid or {}) - set(GRID_AXES)
         if unknown:
             raise ConfigError(f"unknown grid axes {sorted(unknown)}; "
                               f"known: {', '.join(GRID_AXES)}")
+        for axis, values in (self.grid or {}).items():
+            try:
+                if not (isinstance(values, (list, tuple)) and values and all(
+                        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)):
+                    raise OptimizeError("must be a non-empty list of numbers")
+                for v in values:  # OptimConfig holds the rules for each value
+                    OptimConfig(optimize_timing=True, optimize_position=True,
+                                **{GRID_AXES[axis]: v})
+            except OptimizeError as exc:
+                raise ConfigError(f"grid axis {axis} = {values!r}: {exc}") from exc
         if self.frame_rate != 100.0:
             raise ConfigError(
                 f"frame_rate {self.frame_rate} Hz: trajectories must be sampled at the "
@@ -471,8 +483,6 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[ScoreReport, RunManifest]:
 
     optim: OptimConfig | None = None
     if cfg.wants_optimization:
-        if not cfg.interp_method.is_cubic:
-            raise ConfigError("target optimization requires a cubic interpolation method")
         optim, grid_rows = grid_search(cfg, data, manifest)
         (out / "grid.json").write_text(
             json.dumps({"best": asdict(optim), "points": grid_rows},
@@ -753,8 +763,6 @@ def _cmd_optimize(args) -> int:
     cfg = _load_config(args)
     if not cfg.wants_optimization:
         raise ConfigError("optimize command requires optimize_timing or optimize_position")
-    if not cfg.interp_method.is_cubic:
-        raise ConfigError("target optimization requires a cubic interpolation method")
     table = resolve_table(cfg)
     oc = _optim_from_cfg(cfg, args.timing_lr, args.position_lr, args.lam)
     out = Path(cfg.out_dir) / "optimized"

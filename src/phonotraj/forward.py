@@ -12,11 +12,10 @@ at k/frame_rate, k = 1..n, n = floor(duration * frame_rate)):
 Unknown feature entries have no node: each dimension interpolates through
 its specified targets only, so the interpolant supplies context-dependent
 values.  The zero boundary targets act as nodes in every dimension.
-``node_patterns`` groups the dimensions that share a node mask into one
-block; the optimizer and ``select_nodes`` read those blocks.  Synthesis
-evaluates one flat table per utterance: each segment's polynomial
-coefficients (the pp-form) for every dimension, with all natural-cubic
-moments from one banded solve.
+``flat_nodes`` lists every dimension's nodes in one flat array; synthesis,
+``select_nodes`` and the optimizer read it.  Synthesis evaluates one flat
+table per utterance: each segment's polynomial coefficients (the pp-form)
+for every dimension, with all natural-cubic moments from one banded solve.
 """
 from __future__ import annotations
 
@@ -88,7 +87,7 @@ class DimensionNodes:
     @cached_property
     def _natural(self) -> tuple:
         """Natural-cubic segment table, its moments solved on first use."""
-        return _segment_table(InterpMethod.NATURAL_CUBIC, self.times, self.values, [0, -1])
+        return segment_table(InterpMethod.NATURAL_CUBIC, self.times, self.values, [0, -1])
 
 
 @dataclass(frozen=True)
@@ -145,64 +144,53 @@ def _node_mask(specified: np.ndarray) -> np.ndarray:
     return mask
 
 
-def node_patterns(t: np.ndarray, X: np.ndarray, specified: np.ndarray):
-    """Group the dimensions of targets (t, X) by their node mask.
+def flat_nodes(t: np.ndarray, X: np.ndarray, specified: np.ndarray):
+    """Every dimension's nodes (``_node_mask``) in one flat list, dimension-major.
 
-    Yields ``(rows, dims, times, values)`` per distinct mask, where
-    ``values`` is the (m, c) block ``X[rows][:, dims]`` with the boundary
-    rows set to 0, their target by construction.
+    Returns ``(rows, dims, times, values, first, last)``: per node its row,
+    dimension, time and value, with each boundary value set to 0, its target
+    by construction; ``first`` and ``last`` give each dimension's first and
+    last flat index, its nodes on the two boundary rows.
     """
-    mask = _node_mask(specified)
-    groups: dict[bytes, list[int]] = {}
-    for j in range(X.shape[1]):
-        groups.setdefault(mask[:, j].tobytes(), []).append(j)
-    for key, dims in groups.items():
-        rows = np.flatnonzero(np.frombuffer(key, dtype=bool))
-        values = X[np.ix_(rows, dims)]
-        values[0] = 0.0
-        values[-1] = 0.0
-        yield rows, np.asarray(dims), t[rows], values
+    dims, rows = np.nonzero(_node_mask(specified).T)
+    first, last = np.flatnonzero(rows == 0), np.flatnonzero(rows == X.shape[0] - 1)
+    values = X[rows, dims]
+    values[first] = values[last] = 0.0
+    return rows, dims, t[rows], values, first, last
 
 
 def select_nodes(fseg: FeaturalSegmentation) -> list[DimensionNodes]:
-    """Per-dimension nodes: one column of each ``node_patterns`` block."""
-    nodes = {}
-    for rows, dims, times, values in node_patterns(fseg.t, fseg.X, fseg.specified):
-        intervals = fseg.Y[rows]
-        for j, column in zip(dims.tolist(), values.T.copy()):
-            nodes[j] = DimensionNodes(j, times, column, rows, intervals)
-    return [nodes[j] for j in range(fseg.dimension)]
+    """Per-dimension nodes: one dimension's run of the ``flat_nodes`` list."""
+    rows, _, times, values, first, last = flat_nodes(fseg.t, fseg.X, fseg.specified)
+    return [DimensionNodes(j, times[a:b], values[a:b], rows[a:b], fseg.Y[rows[a:b]])
+            for j, (a, b) in enumerate(zip(first.tolist(), (last + 1).tolist()))]
 
 
-def moment_bands(h: np.ndarray) -> np.ndarray:
-    """Tridiagonal matrix of the natural-spline moment system for segment
-    lengths ``h``, in ``solve_banded((1, 1), ...)`` layout."""
-    q = h.size - 1
-    ab = np.zeros((3, q))
-    ab[1, :] = 2.0 * (h[:-1] + h[1:])
-    if q > 1:
-        ab[0, 1:] = h[1:q]
-        ab[2, :-1] = h[1:q]
-    return ab
+def moment_system(h: np.ndarray, dv: np.ndarray, ends) -> tuple[np.ndarray, np.ndarray]:
+    """The natural-cubic moment system of a flat node list and its solution.
 
-
-def natural_moments(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Second derivatives of the natural cubic spline at the nodes.
-
-    ``values`` may be (m,) or (m, c); the boundary moments are zero.
+    ``h`` and ``dv`` are the segment lengths and value steps and ``ends``
+    indexes every dimension's first and last node.  Each dimension's
+    tridiagonal system is stacked with zero coupling between dimensions, in
+    ``solve_banded((1, 1), ...)`` layout; the matrix is symmetric.  An end
+    node's row is M = 0, so LAPACK's ``gtsv`` never pivots across it and
+    eliminates with multiplier 0: each dimension gets the moments its own
+    system would give.  Returns the banded matrix and the moments.
     """
-    out = np.zeros_like(values, dtype=float)
-    if times.size < 3:
-        return out
-    h = times[1:] - times[:-1]
-    slope = (values[1:] - values[:-1]) / (h if values.ndim == 1 else h[:, None])
-    r = 6.0 * (slope[1:] - slope[:-1])
-    out[1:-1] = solve_banded((1, 1), moment_bands(h), r)
-    return out
+    inner = np.ones(h.size + 1, dtype=bool)
+    inner[ends] = False
+    ab = np.zeros((3, h.size + 1))
+    ab[0, 1:] = ab[2, :-1] = np.where(inner[:-1] & inner[1:], h, 0.0)
+    ab[1] = 1.0
+    ab[1, 1:-1] = np.where(inner[1:-1], 2.0 * (h[:-1] + h[1:]), 1.0)
+    r = np.zeros(h.size + 1)
+    r[1:-1] = np.where(inner[1:-1], 6.0 * np.diff(dv / h), 0.0)
+    # Callers check what they compute from the moments for non-finite values.
+    return ab, solve_banded((1, 1), ab, r, check_finite=False)
 
 
-def _segment_table(method: InterpMethod, times: np.ndarray, values: np.ndarray,
-                   ends) -> tuple:
+def segment_table(method: InterpMethod, times: np.ndarray, values: np.ndarray,
+                  ends) -> tuple:
     """Segment lengths and polynomial coefficients (pp-form) of the
     interpolant through a flat list of nodes.
 
@@ -210,25 +198,14 @@ def _segment_table(method: InterpMethod, times: np.ndarray, values: np.ndarray,
     the coefficient of s**p in s = (tau - t_i) / h_i, or None where it is 0
     for every segment.  Dimensions may follow one another in the list;
     ``ends`` indexes their first and last nodes, and the segments joining
-    two dimensions are never read.  All natural-cubic moments come from one
-    banded solve: an end node's row is M = 0 with no coupling, so LAPACK's
-    ``gtsv`` never pivots and eliminates across it with multiplier 0, and
-    each dimension gets the numbers ``natural_moments`` gives.
+    two dimensions are never read.
     """
     h, dv = times[1:] - times[:-1], values[1:] - values[:-1]
     if method is InterpMethod.LINEAR:
         return h, (values, dv)
     if method is InterpMethod.CUBIC_HERMITE:
         return h, (values, None, 3.0 * dv, -2.0 * dv)
-    inner = np.ones(times.size, dtype=bool)
-    inner[ends] = False
-    ab = np.zeros((3, times.size))
-    ab[0, 1:] = ab[2, :-1] = np.where(inner[:-1] & inner[1:], h, 0.0)
-    ab[1] = 1.0
-    ab[1, 1:-1] = np.where(inner[1:-1], 2.0 * (h[:-1] + h[1:]), 1.0)
-    r = np.zeros(times.size)
-    r[1:-1] = np.where(inner[1:-1], 6.0 * np.diff(dv / h), 0.0)
-    M = solve_banded((1, 1), ab, r, check_finite=False)  # synthesis checks its frames
+    M = moment_system(h, dv, ends)[1]
     hh, Ma, Mb = h * h, M[:-1], M[1:]
     return h, (values, dv - hh * (2.0 * Ma + Mb) / 6.0, hh * Ma / 2.0, hh * (Mb - Ma) / 6.0)
 
@@ -265,7 +242,7 @@ def _pieces(nodes: DimensionNodes, method: InterpMethod, taus: np.ndarray):
     """One dimension's coefficients, and each tau's segment, local
     coordinate and segment length."""
     h, table = (nodes._natural if method is InterpMethod.NATURAL_CUBIC
-                else _segment_table(method, nodes.times, nodes.values, [0, -1]))
+                else segment_table(method, nodes.times, nodes.values, [0, -1]))
     idx = np.searchsorted(nodes.times, taus, side="right") - 1
     idx = np.minimum(np.maximum(idx, 0), h.size - 1)  # np.clip, without its overhead
     return table, idx, (taus - nodes.times[idx]) / h[idx], h[idx]
@@ -321,17 +298,11 @@ def _trajectory(
     if method is InterpMethod.PIECEWISE_CONSTANT:
         frames = _piecewise_constant(Y, X, taus)
     else:
-        mask = _node_mask(specified)
-        dims, rows = np.nonzero(mask.T)  # every dimension's nodes, dimension-major
-        times, values = t[rows], X[rows, dims]
-        count = np.cumsum(mask, axis=0)  # nodes of each dimension up to each row
-        first = np.cumsum(count[-1]) - count[-1]  # flat index of each dimension's row 0
-        last = first + count[-1] - 1
-        values[first] = values[last] = 0.0
-        h, table = _segment_table(method, times, values, np.concatenate((first, last)))
+        rows, dims, times, values, first, last = flat_nodes(t, X, specified)
+        h, table = segment_table(method, times, values, np.concatenate((first, last)))
         # Flat segment of each (row, dim), clipped to the dimension's own
         # segments; then one row gather by the row that holds each frame.
-        seg = np.minimum(count - 1 + first, last - 1)
+        seg = np.minimum(np.cumsum(_node_mask(specified), axis=0) - 1 + first, last - 1)
         row = np.maximum(np.searchsorted(t, taus, side="right") - 1, 0)
         idx = seg[row]
         frames = _horner(table, idx, (taus[:, None] - times.take(idx)) / h.take(idx))

@@ -8,13 +8,15 @@ are refined by plain gradient descent on
 where g is the interpolant through (X', t').  Because g interpolates its own
 targets, the attainment term reduces exactly to the squared offset from the
 original targets, restricted to specified entries.  The curvature integral
-has a closed form: g'' is piecewise linear, so each segment contributes
-h/3 * (A^2 + A*B + B^2) with A, B the curvature at its ends.
+has a closed form: g'' is linear on each segment of the pp-form table of
+``forward.segment_table``, so a segment with coefficients c2, c3 of s^2, s^3
+(s = (tau - t_i) / h) contributes (4 c2^2 + 12 c2 c3 + 12 c3^2) / h^3.
 
-Gradients are analytic.  The Hermite case is local; the natural-cubic case
-differentiates through the tridiagonal moment system with one adjoint solve
-per node pattern (``forward.node_patterns``), shared by its dimensions.  Both are validated against central finite differences by
-``gradient_check``.
+Gradients are analytic and read the same flat node list as synthesis
+(``forward.flat_nodes``).  The Hermite case is local; the natural-cubic case
+differentiates through the stacked moment system of all dimensions with one
+adjoint solve, which reuses the symmetric matrix of the moment solve.  Both
+are validated against central finite differences by ``gradient_check``.
 
 Boundary rows are frozen (zero positions, fixed timings); unknown entries
 have no node and are not variables.
@@ -27,7 +29,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .alignment import FeaturalSegmentation
-from .forward import CUBIC_METHODS, InterpMethod, moment_bands, natural_moments, node_patterns
+from .forward import CUBIC_METHODS, InterpMethod, flat_nodes, moment_system, segment_table
 
 DEFAULT_MIN_GAP = 1e-3  # seconds between consecutive projected timings
 
@@ -63,6 +65,8 @@ class OptimConfig:
             raise OptimizeError("timing learning rate must be positive")
         if self.optimize_position and self.position_lr <= 0:
             raise OptimizeError("position learning rate must be positive")
+        if not np.all(np.isfinite([self.timing_lr, self.position_lr, self.lam, self.min_gap])):
+            raise OptimizeError("learning rates, lambda and min_gap must be finite")
         if self.lam < 0:
             raise OptimizeError("lambda must be non-negative")
         if self.min_gap <= 0:
@@ -88,26 +92,27 @@ class OptimizedTargets:
                 f.write(f"{k + 1},{self.t[k]:.9g}," + ",".join(cells) + "\n")
 
 
-def _segment_curvature_energy(h: np.ndarray, A: np.ndarray, B: np.ndarray) -> float:
-    """Closed form of the integral of a piecewise-linear curvature squared."""
-    return float(np.sum(h / 3.0 * (A * A + A * B + B * B)))
+def _curvature_energy(method: InterpMethod, times: np.ndarray, values: np.ndarray,
+                      ends, joins) -> float:
+    """Exact integral of g''(tau)^2 over the segments of a flat node list.
+
+    With g'' = (2 c2 + 6 c3 s) / h^2 on a segment of the pp-form table, the
+    segment contributes (4 c2^2 + 12 c2 c3 + 12 c3^2) / h^3: 12 dv^2 / h^3
+    for Hermite and h/3 (A^2 + A B + B^2) for natural cubic with end
+    curvatures A, B.  The segments ``joins`` join two dimensions (h < 0)
+    and are left out.
+    """
+    if method not in CUBIC_METHODS:
+        raise OptimizeError(f"smoothness objective defined for cubic methods, not {method.value}")
+    h, (_, _, c2, c3) = segment_table(method, times, values, ends)
+    energy = (4.0 * c2 * c2 + 12.0 * c2 * c3 + 12.0 * c3 * c3) / h**3
+    energy[joins] = 0.0
+    return float(np.sum(energy))
 
 
 def smoothness_term(times: np.ndarray, values: np.ndarray, method: InterpMethod) -> float:
-    """Exact integral of g''(tau)^2 over the node span, summed over the
-    columns of ``values``, which may be (m,) or (m, c)."""
-    if method not in CUBIC_METHODS:
-        raise OptimizeError(f"smoothness objective defined for cubic methods, not {method.value}")
-    if times.size < 2:
-        return 0.0
-    h = np.diff(times)
-    if values.ndim == 2:
-        h = h[:, None]
-    if method is InterpMethod.CUBIC_HERMITE:
-        dv = np.diff(values, axis=0)
-        return float(np.sum(12.0 * dv * dv / h**3))
-    M = natural_moments(times, values)
-    return _segment_curvature_energy(h, M[:-1], M[1:])
+    """Exact integral of g''(tau)^2 over the node span of one dimension."""
+    return _curvature_energy(method, times, values, [0, -1], [])
 
 
 def attainment_term(
@@ -131,8 +136,8 @@ def objective_terms(
     lam: float,
     method: InterpMethod,
 ) -> tuple[float, float]:
-    smooth = sum((smoothness_term(times, values, method)
-                  for _, _, times, values in node_patterns(t, X, mask)), 0.0)
+    _, _, times, values, first, last = flat_nodes(t, X, mask)
+    smooth = _curvature_energy(method, times, values, np.concatenate((first, last)), last[:-1])
     return smooth, lam * attainment_term(X, X_orig, mask)
 
 
@@ -149,47 +154,6 @@ def objective(
     return smooth + attain
 
 
-def _smoothness_gradients(times: np.ndarray, values: np.ndarray, method: InterpMethod):
-    """Gradients of the curvature integral of one node-pattern block.
-
-    Returns d/d(values), shaped (m, c) like ``values``, and d/d(times), (m,),
-    summed over the block's columns.  The natural-cubic case makes one
-    adjoint solve for all columns.
-    """
-    m = times.size
-    gv = np.zeros_like(values)
-    gt = np.zeros(m)
-    h = np.diff(times)
-    hc = h[:, None]
-    dv = np.diff(values, axis=0)
-    if method is InterpMethod.CUBIC_HERMITE:
-        gseg = 24.0 * dv / hc**3  # d(term_i)/d(v_{i+1})
-        gv[1:] += gseg
-        gv[:-1] -= gseg
-        gh = -36.0 * dv * dv / hc**4  # d(term_i)/d(h_i)
-    else:
-        if m < 3:
-            return gv, gt  # two nodes: the spline is a line, zero curvature
-        M = natural_moments(times, values)
-        # Adjoint solve: T w = d(phi)/dM_interior, same matrix as the moment system.
-        b = hc[:-1] * (M[:-2] + 2.0 * M[1:-1]) / 3.0 + hc[1:] * (2.0 * M[1:-1] + M[2:]) / 3.0
-        w = solve_banded((1, 1), moment_bands(h), b)
-
-        # Value gradient: w^T dr/dv with r_j = 6*(slope_{j+1} - slope_j).
-        gv[2:] += 6.0 * w / hc[1:]
-        gv[1:-1] -= 6.0 * w / hc[1:] + 6.0 * w / hc[:-1]
-        gv[:-2] += 6.0 * w / hc[:-1]
-
-        # Timing gradient through h: explicit e_i plus w^T d(r - T M)/dh.
-        gh = (M[:-1] ** 2 + M[:-1] * M[1:] + M[1:] ** 2) / 3.0
-        gh[:-1] += w * (6.0 * dv[:-1] / hc[:-1] ** 2 - (M[:-2] + 2.0 * M[1:-1]))
-        gh[1:] += w * (-6.0 * dv[1:] / hc[1:] ** 2 - (2.0 * M[1:-1] + M[2:]))
-    gh = gh.sum(axis=1)
-    gt[1:] += gh  # dh_i/dtau_{i+1} = +1
-    gt[:-1] -= gh  # dh_i/dtau_i = -1
-    return gv, gt
-
-
 def gradients(
     t: np.ndarray,
     X: np.ndarray,
@@ -201,21 +165,49 @@ def gradients(
     """Analytic gradient of the objective w.r.t. positions and timings.
 
     Returns (gX, gt) shaped like X and t, with exact zeros at frozen
-    coordinates (boundary rows, boundary timings) and at unknown entries.
+    coordinates (boundary rows, boundary timings) and at the entries
+    outside ``mask``, which have no node.  The curvature term is
+    differentiated over the flat node list; a segment joining two
+    dimensions runs between end nodes, which are frozen.
     """
     if method not in CUBIC_METHODS:
         raise OptimizeError(f"gradients defined for cubic methods, not {method.value}")
+    rows, dims, times, values, first, last = flat_nodes(t, X, mask)
+    h, dv = times[1:] - times[:-1], values[1:] - values[:-1]
+    gv = np.zeros(values.size)
+    if method is InterpMethod.CUBIC_HERMITE:
+        gseg = 24.0 * dv / h**3  # d(term_i)/d(v_{i+1})
+        gv[1:] += gseg
+        gv[:-1] -= gseg
+        gh = -36.0 * dv * dv / h**4  # d(term_i)/d(h_i)
+    else:
+        ends = np.concatenate((first, last))
+        ab, M = moment_system(h, dv, ends)
+        # Adjoint solve: T w = d(phi)/dM at the interior nodes; T is symmetric.
+        b = np.zeros(values.size)
+        b[1:-1] = h[:-1] * (M[:-2] + 2.0 * M[1:-1]) / 3.0 + h[1:] * (2.0 * M[1:-1] + M[2:]) / 3.0
+        b[ends] = 0.0
+        w = solve_banded((1, 1), ab, b, check_finite=False)[1:-1]
+
+        # Value gradient: w^T dr/dv with r_j = 6*(slope_j - slope_{j-1}).
+        gv[2:] += 6.0 * w / h[1:]
+        gv[1:-1] -= 6.0 * w / h[1:] + 6.0 * w / h[:-1]
+        gv[:-2] += 6.0 * w / h[:-1]
+
+        # Timing gradient through h: explicit e_i plus w^T d(r - T M)/dh.
+        gh = (M[:-1] ** 2 + M[:-1] * M[1:] + M[1:] ** 2) / 3.0
+        gh[:-1] += w * (6.0 * dv[:-1] / h[:-1] ** 2 - (M[:-2] + 2.0 * M[1:-1]))
+        gh[1:] += w * (-6.0 * dv[1:] / h[1:] ** 2 - (2.0 * M[1:-1] + M[2:]))
+    gtau = np.zeros(values.size)
+    gtau[1:] += gh  # dh_i/dtau_{i+1} = +1
+    gtau[:-1] -= gh  # dh_i/dtau_i = -1
     gX = np.zeros_like(X)
-    gt = np.zeros_like(t)
-    for rows, dims, times, values in node_patterns(t, X, mask):
-        gv, gtau = _smoothness_gradients(times, values, method)
-        inner = rows[1:-1]  # boundary rows are frozen
-        gX[np.ix_(inner, dims)] = gv[1:-1]
-        gt[inner] += gtau[1:-1]
+    gX[rows, dims] = gv
+    gt = np.bincount(rows, weights=gtau, minlength=t.size)
+    gX[[0, -1]] = gt[[0, -1]] = 0.0  # boundary rows are frozen
     if lam > 0:
         inner = mask[1:-1]
         gX[1:-1] += np.where(inner, 2.0 * lam * (X[1:-1] - X_orig[1:-1]), 0.0)
-    gX[np.isnan(X)] = 0.0
     return gX, gt
 
 

@@ -101,6 +101,38 @@ def test_config_rejects_unknown_grid_axis(tmp_path):
     assert cli.main(["run", "--config", str(path)]) == 1
 
 
+@pytest.mark.parametrize("grid", [
+    {"lambdas": 1e4}, {"lambdas": []}, {"lambdas": [-1.0]}, {"lambdas": [float("inf")]},
+    {"timing_lrs": [0.0]}, {"position_lrs": [float("nan")]}, {"position_lrs": ["0.01"]},
+    {"timing_lrs": [True]},
+])
+def test_config_rejects_bad_grid_values(tmp_path, grid):
+    # {"lambdas": 1e4} used to pass construction and fail inside grid_search
+    # with a TypeError, which the CLI reported as a runtime failure (exit 2).
+    fields = {"dataset_root": str(tmp_path), "speakers": ["a"], "method": "cubic_hermite",
+              "optimize_position": True, "grid": grid}
+    with pytest.raises(ConfigError, match="grid axis"):
+        ExperimentConfig(**{**fields, "speakers": ("a",)})
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(fields), encoding="utf-8")
+    assert cli.main(["run", "--config", str(path)]) == 1
+
+
+def test_optimization_with_a_non_cubic_method_rejected_up_front(tmp_path, monkeypatch):
+    with pytest.raises(ConfigError, match="cubic"):
+        ExperimentConfig(dataset_root="/d", speakers=("a",), method="linear",
+                         optimize_position=True)
+    prepared = []
+    monkeypatch.setattr(cli, "prepare_speaker",
+                        lambda *a: prepared.append(a) or pytest.fail("prepared a speaker"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dataset_root": str(tmp_path), "speakers": ["a"],
+                                "method": "linear", "optimize_timing": True}),
+                    encoding="utf-8")
+    assert cli.main(["grid", "--config", str(path)]) == 1
+    assert prepared == []
+
+
 def test_config_naming_jobs_rejected(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"dataset_root": str(tmp_path), "speakers": ["a"],

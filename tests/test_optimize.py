@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from conftest import random_fseg
+from phonotraj import forward, optimize
 from phonotraj.alignment import FeaturalSegmentation
 from phonotraj.forward import (DimensionNodes, InterpMethod, interpolate,
                                second_derivative)
@@ -82,6 +84,54 @@ def test_closed_form_matches_quadrature():
                                         fseg.X, 0.0, m)
             oracle = quad_smoothness(fseg, m)
             assert smooth == pytest.approx(oracle, rel=1e-6)
+
+
+def scipy_smoothness(t, X, method):
+    """Curvature energy of scipy's own splines, independent of phonotraj:
+    g'' = 6 a (tau - t_i) + 2 b from each segment's coefficients a, b of
+    (tau - t_i)^3 and (tau - t_i)^2, integrated over the segment."""
+    total = 0.0
+    last = X.shape[0] - 1
+    for j in range(X.shape[1]):
+        rows = np.flatnonzero(~np.isnan(X[:, j]) | np.isin(np.arange(last + 1), (0, last)))
+        x = t[rows]
+        y = np.where((rows == 0) | (rows == last), 0.0, X[rows, j])
+        spl = (CubicSpline(x, y, bc_type="natural") if method is N
+               else CubicHermiteSpline(x, y, np.zeros_like(y)))
+        a, b, h = spl.c[0], spl.c[1], np.diff(x)
+        total += np.sum(12.0 * a * a * h**3 + 12.0 * a * b * h**2 + 4.0 * b * b * h)
+    return total
+
+
+def test_objective_matches_scipy_spline_energy():
+    rng = np.random.default_rng(12)
+    for case in range(40):
+        k = int(rng.integers(2, 12))
+        fseg = random_fseg(rng, k=k, d=int(rng.integers(2, 9)), unknown_prob=0.4)
+        X = fseg.X.copy()
+        X[1:-1, :2] = np.nan  # dimension 0 has only the boundary nodes
+        X[int(rng.integers(1, k + 1)), 1] = rng.normal()  # dimension 1 has three
+        t = fseg.t.copy()
+        gap = np.minimum(np.diff(t)[:-1], np.diff(t)[1:])
+        t[1:-1] += rng.uniform(-0.4, 0.4, size=k) * gap
+        for m in (H, N):
+            smooth, _ = objective_terms(t, X, ~np.isnan(X), X, 0.0, m)
+            assert smooth == pytest.approx(scipy_smoothness(t, X, m), rel=1e-9)
+
+
+def test_one_banded_solve_per_objective_and_two_per_gradient(monkeypatch):
+    solves = []
+    for module in (forward, optimize):
+        monkeypatch.setattr(module, "solve_banded", lambda *a, _real=module.solve_banded, **kw:
+                            solves.append(1) or _real(*a, **kw))
+    fseg = random_fseg(np.random.default_rng(13), k=10, d=12, unknown_prob=0.4)
+    assert np.unique(fseg.specified, axis=1).shape[1] > 1  # several node masks
+    args = (fseg.t, fseg.X, fseg.specified, fseg.X, 1e3, N)
+    objective(*args)
+    assert len(solves) == 1
+    solves.clear()
+    gradients(*args)
+    assert len(solves) == 2
 
 
 def test_smoothness_rejects_non_cubic():
@@ -216,6 +266,13 @@ def test_attainment_gradient_away_from_initialization():
 # ---------------------------------------------------------------------------
 
 
+def test_config_rejects_non_finite_values():
+    for bad in ({"lam": np.inf}, {"timing_lr": np.nan}, {"position_lr": np.inf},
+                {"min_gap": np.inf}):
+        with pytest.raises(OptimizeError, match="finite"):
+            OptimConfig(**bad)
+
+
 def test_projection_repairs_ordering():
     t = np.array([0.0, 0.30, 0.10, 0.20, 0.5])
     out = project_timings(t, 0.001)
@@ -319,6 +376,16 @@ def test_divergence_raises_with_last_finite_iterate():
     last = exc.value.last_iterate
     assert np.all(np.isfinite(last.X))
     assert np.isfinite(last.objective)
+
+
+def test_step_to_infinity_is_divergence():
+    # A natural-cubic step that overflowed a position to inf used to reach
+    # scipy's finiteness check in the moment solve: a plain ValueError, which
+    # a grid search does not record as a failed point.
+    for m in (H, N):
+        with pytest.raises(DivergenceError):
+            optimize_targets(three_node_fseg(1.0), m,
+                             OptimConfig(optimize_position=True, position_lr=1e308, max_steps=5))
 
 
 def test_non_cubic_method_rejected():
