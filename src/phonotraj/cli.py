@@ -66,9 +66,6 @@ class ExperimentConfig:
     out_dir: str = "out"
     max_steps: int = 200
     min_gap: float = 1e-3
-    probe_epochs: int = 100
-    probe_patience: int = 5
-    probe_lr: float = 1e-3
 
     def __post_init__(self):
         if not self.speakers:
@@ -386,11 +383,7 @@ def _speaker_score(
     data: SpeakerData, cfg: ExperimentConfig, optim: OptimConfig | None, eval_part: str
 ) -> np.ndarray:
     pairs = _speaker_pairs(data, cfg, optim)
-    probe = train_probe(
-        pairs["train"], pairs["dev"], cfg.seed,
-        max_epochs=cfg.probe_epochs, patience=cfg.probe_patience, lr=cfg.probe_lr,
-    )
-    return score(probe, pairs[eval_part])
+    return score(train_probe(pairs["train"], pairs["dev"]), pairs[eval_part])
 
 
 def _optim_from_cfg(cfg: ExperimentConfig, timing_lr: float, position_lr: float,
@@ -422,6 +415,7 @@ def grid_search(
         optimize_timing=cfg.optimize_timing,
         optimize_position=cfg.optimize_position,
         max_steps=cfg.max_steps,
+        min_gap=cfg.min_gap,
     )
     if not configs:
         raise ConfigError("empty hyper-parameter grid")
@@ -490,9 +484,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[ScoreReport, RunManifest]:
 
     def score_one(d: SpeakerData) -> np.ndarray:
         cfg_slice = {"method": cfg.method, "frame_rate": cfg.frame_rate,
-                     "optim": asdict(optim) if optim else None,
-                     "probe": [cfg.probe_epochs, cfg.probe_patience, cfg.probe_lr],
-                     "seed": cfg.seed}
+                     "optim": asdict(optim) if optim else None}
         key = "score-" + _hash_bytes(input_hash[d.speaker].encode(),
                                      _hash_obj(cfg_slice).encode())
         t0 = time.perf_counter()
@@ -785,13 +777,10 @@ def _cmd_probe(args) -> int:
     for spk in cfg.speakers:
         data = prepare_speaker(cfg, table, spk)
         pairs = _speaker_pairs(data, cfg, None)
-        probe = train_probe(pairs["train"], pairs["dev"], cfg.seed,
-                            max_epochs=cfg.probe_epochs,
-                            patience=cfg.probe_patience, lr=cfg.probe_lr)
+        probe = train_probe(pairs["train"], pairs["dev"])
         np.savez(out / f"{spk}.npz", weight=probe.weight, bias=probe.bias,
-                 epochs_run=probe.epochs_run, best_dev_loss=probe.best_dev_loss)
-        print(f"{spk}: probe trained ({probe.epochs_run} epochs, "
-              f"dev loss {probe.best_dev_loss:.6g})")
+                 best_dev_loss=probe.best_dev_loss)
+        print(f"{spk}: probe trained (dev loss {probe.best_dev_loss:.6g})")
     return 0
 
 

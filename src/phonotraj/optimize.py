@@ -333,6 +333,7 @@ def grid_configs(
     optimize_timing: bool = True,
     optimize_position: bool = True,
     max_steps: int = 200,
+    min_gap: float = DEFAULT_MIN_GAP,
 ) -> list[OptimConfig]:
     """The hyper-parameter grid, restricted by the enabled blocks.
 
@@ -356,6 +357,7 @@ def grid_configs(
                         max_steps=max_steps,
                         optimize_timing=optimize_timing,
                         optimize_position=optimize_position,
+                        min_gap=min_gap,
                     )
                 )
     return out

@@ -156,7 +156,7 @@ def test_criterion_4_probe_suite():
                 return pairs
 
             train, dev, test = make(80), make(10), make(10)
-            probe = train_probe(train, dev, seed=spk)
+            probe = train_probe(train, dev)
             pcc = score(probe, test)
             assert np.all(pcc >= 0.999)
 
@@ -173,17 +173,8 @@ def test_criterion_4_probe_suite():
             W, *_ = np.linalg.lstsq(Fb * sw, Z * sw, rcond=None)
             oracle = dataset_loss(W[:-1].T, W[-1], test)
             trained = dataset_loss(probe.weight, probe.bias, test)
-            assert abs(trained - oracle) < 1e-4
-
-        # early stopping: strictly increasing dev loss stops training after
-        # epoch 6 and returns the epoch-1 parameters
-        F1 = np.ones((4, 1))
-        train = [(Trajectory("t", 100.0, F1), ArticulatorySeries("t", np.ones((4, 1))))]
-        dev = [(Trajectory("d", 100.0, F1), ArticulatorySeries("d", np.zeros((4, 1))))]
-        stopped = train_probe(train, dev, seed=0)
-        assert stopped.epochs_run == 6
-        first = train_probe(train, dev, seed=0, max_epochs=1)
-        np.testing.assert_array_equal(stopped.weight, first.weight)
+            energy = dataset_loss(np.zeros((6, d)), np.zeros(6), test)
+            assert abs(trained - oracle) <= 1e-9 * energy
 
 
 def test_criterion_5_pipeline_determinism(tmp_path):

@@ -67,11 +67,13 @@ def test_config_round_trip(tmp_path):
 
 def test_config_unknown_field_rejected(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"dataset_root": "/d", "speakers": ["a"],
-                                "split_sizes": [5, 1, 1], "typo_field": 1}),
-                    encoding="utf-8")
-    with pytest.raises(ConfigError, match="typo_field"):
-        ExperimentConfig.from_file(path)
+    for field in ("typo_field", "probe_epochs", "probe_patience", "probe_lr"):
+        path.write_text(json.dumps({"dataset_root": str(tmp_path), "speakers": ["a"],
+                                    "split_sizes": [5, 1, 1], field: 1}),
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"unknown config fields.*{field}"):
+            ExperimentConfig.from_file(path)
+        assert cli.main(["run", "--config", str(path)]) == 1
 
 
 def test_config_validates_method_and_splits():
@@ -229,7 +231,7 @@ def small_grid_cfg(root, tmp_path, **grid):
     cfg = synthetic_config(root, utterances=14, speakers=1,
                            method="natural_cubic", out_dir=str(tmp_path / "grid"))
     return replace(cfg, optimize_timing=True, optimize_position=True,
-                   grid=grid or None, max_steps=1, probe_epochs=2)
+                   grid=grid or None, max_steps=1)
 
 
 @pytest.fixture(scope="module")
@@ -259,11 +261,28 @@ def test_grid_tie_breaks_to_smaller_lambda(tiny_root, tmp_path):
 
 def test_full_replication_grid_logs_90_evaluations(tiny_root, tmp_path):
     cfg = small_grid_cfg(tiny_root, tmp_path)  # default axes: 5 x 3 x 6
-    cfg = replace(cfg, probe_epochs=1)
     manifest = cli.RunManifest(config={})
     best, rows = grid_search(cfg, manifest=manifest)
     assert len(rows) == 90
     assert sum(1 for s in manifest.stages if s["stage"] == "grid-eval") == 90
+
+
+def test_grid_uses_config_min_gap(tiny_root, tmp_path, monkeypatch):
+    cfg = replace(small_grid_cfg(tiny_root, tmp_path, timing_lrs=[1e-5], position_lrs=[1e-2],
+                                 lambdas=[0.0, 1e3]), min_gap=0.005)
+    speaker_score = cli._speaker_score
+    seen = []
+
+    def recording(data, point_cfg, optim, part):
+        seen.append((part, optim.min_gap))
+        return speaker_score(data, point_cfg, optim, part)
+
+    monkeypatch.setattr(cli, "_speaker_score", recording)
+    run_experiment(cfg)
+    assert [p for p, _ in seen] == ["dev", "dev", "test"]
+    assert all(g == 0.005 for _, g in seen)
+    grid = json.loads((Path(cfg.out_dir) / "grid.json").read_text())
+    assert grid["best"]["min_gap"] == 0.005
 
 
 def test_grid_eval_records_each_points_own_time(tiny_root, tmp_path, monkeypatch):
@@ -420,8 +439,11 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert any(traj_dir.glob("*.traj"))
 
     assert cli.main(["score", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
     assert cli.main(["probe", "--config", str(cfg_path)]) == 0
-    assert (tmp_path / "out" / "probes" / "spk00.npz").exists()
+    assert "epochs" not in capsys.readouterr().out
+    with np.load(tmp_path / "out" / "probes" / "spk00.npz") as saved:
+        assert sorted(saved.files) == ["best_dev_loss", "bias", "weight"]
 
 
 def test_cli_validation_error_exit_code(tmp_path):
