@@ -60,12 +60,13 @@ class ExperimentConfig:
     optimize_timing: bool = False
     optimize_position: bool = False
     grid: dict | None = None  # axis overrides for the hyper-parameter grid
-    frame_rate: float = 100.0  # must equal the 100 Hz rate of the EMA frames
     split_sizes: tuple[int, int, int] = REPLICATION_SPLITS
     seed: int = 0
     out_dir: str = "out"
     max_steps: int = 200
     min_gap: float = 1e-3
+
+    frame_rate = 100.0  # Hz, the rate of the EMA frames; a class constant, not a field
 
     def __post_init__(self):
         if not self.speakers:
@@ -74,6 +75,16 @@ class ExperimentConfig:
             raise ConfigError(f"bad split sizes {self.split_sizes}")
         if self.split_sizes[0] < 1 or self.split_sizes[1] < 1 or self.split_sizes[2] < 1:
             raise ConfigError("every split needs at least one utterance")
+        for name in ("max_steps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.max_steps < 0:
+            raise ConfigError(f"max_steps must be non-negative, got {self.max_steps}")
+        try:
+            OptimConfig(min_gap=self.min_gap)
+        except OptimizeError as exc:
+            raise ConfigError(f"min_gap = {self.min_gap!r}: {exc}") from exc
         if not self.interp_method.is_cubic and self.wants_optimization:  # validates method
             raise ConfigError("target optimization requires a cubic interpolation method")
         unknown = set(self.grid or {}) - set(GRID_AXES)
@@ -90,11 +101,6 @@ class ExperimentConfig:
                                 **{GRID_AXES[axis]: v})
             except OptimizeError as exc:
                 raise ConfigError(f"grid axis {axis} = {values!r}: {exc}") from exc
-        if self.frame_rate != 100.0:
-            raise ConfigError(
-                f"frame_rate {self.frame_rate} Hz: trajectories must be sampled at the "
-                "100 Hz rate of the EMA frames"
-            )
 
     @property
     def interp_method(self) -> InterpMethod:
@@ -235,12 +241,6 @@ class RunManifest:
     version: str = __version__
     stages: list = field(default_factory=list)
 
-    def record(self, stage: str, key: str, cached: bool, seconds: float, **extra) -> None:
-        entry = {"stage": stage, "key": key, "cached": cached,
-                 "seconds": round(seconds, 6)}
-        entry.update(extra)
-        self.stages.append(entry)
-
     def to_json(self) -> str:
         return json.dumps(
             {"version": self.version, "config": self.config, "stages": self.stages},
@@ -354,59 +354,127 @@ def _speaker_input_hash(cfg: ExperimentConfig, table_digest: str, speaker: str) 
     return _hash_bytes(_source_digest().encode(), _hash_obj(cfg_slice).encode(), *pieces)
 
 
-def _synthesize_utterance(
-    fseg: FeaturalSegmentation,
-    method: InterpMethod,
-    frame_rate: float,
-    optim: OptimConfig | None,
-) -> Trajectory:
-    if optim is not None and (optim.optimize_timing or optim.optimize_position):
-        best = optimize_targets(fseg, method, optim)
-        return synthesize_targets(fseg.utterance_id, best.t, best.X, method, frame_rate)
-    return synthesize(fseg, method, frame_rate)
+class Run:
+    """One run's cache, manifest, resolved feature table and per-speaker
+    input digests.  ``stage`` is the only code that reads or writes the cache
+    and records a stage in the manifest."""
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.out = Path(cfg.out_dir)
+        self.cache = Cache(self.out / "cache")
+        self.manifest = RunManifest(config=json.loads(json.dumps(asdict(cfg), default=str)))
+        self.table = resolve_table(cfg)
+        table_digest = _table_digest(self.table)
+        self.input_hash = {s: _speaker_input_hash(cfg, table_digest, s) for s in cfg.speakers}
+
+    def stage(self, name: str, key: str, compute, errors=(), describe=None):
+        """The cached value under ``key``, or ``compute()`` stored there.
+
+        Records one manifest entry with the stage's own time, whether it was
+        cached and the fields ``describe(value)`` returns.  The ``errors``
+        that ``compute`` raises become a ConfigError naming the stage.
+        """
+        t0 = time.perf_counter()
+        value = self.cache.get(key)
+        cached = value is not None
+        if not cached:
+            try:
+                value = compute()
+            except errors as exc:
+                raise ConfigError(f"stage {name} failed: {exc}") from exc
+            self.cache.put(key, value)
+        self.manifest.stages.append({
+            "stage": name, "key": key, "cached": cached,
+            "seconds": round(time.perf_counter() - t0, 6), **(describe(value) if describe else {}),
+        })
+        return value
+
+    def key(self, kind: str, speakers, optim: OptimConfig | None) -> str:
+        """Key of a synthesis stage over ``speakers``: their input digests,
+        in order, and the settings that decide the trajectories."""
+        cfg_slice = {"method": self.cfg.method, "frame_rate": self.cfg.frame_rate,
+                     "optim": asdict(optim) if optim else None}
+        return f"{kind}-" + _hash_bytes(*(self.input_hash[s].encode() for s in speakers),
+                                        _hash_obj(cfg_slice).encode())
+
+    def prepare(self, speaker: str) -> SpeakerData:
+        key = "prep-" + _hash_bytes(self.input_hash[speaker].encode(), speaker.encode())
+        return self.stage(f"prepare/{speaker}", key,
+                          lambda: prepare_speaker(self.cfg, self.table, speaker),
+                          (AlignmentError, EmaError, FeatureTableError))
+
+    @functools.cached_property
+    def data(self) -> list[SpeakerData]:
+        """Every speaker of the config, prepared once per run."""
+        return [self.prepare(s) for s in self.cfg.speakers]
 
 
-def _speaker_pairs(data: SpeakerData, cfg: ExperimentConfig, optim: OptimConfig | None):
+def _speaker_pairs(data: SpeakerData, cfg: ExperimentConfig, optim: OptimConfig | None,
+                   parts=("train", "dev", "test"), steps: list | None = None) -> dict:
+    """(trajectory, measured series) pairs of each split in ``parts``.  With
+    ``optim`` the targets are optimized first, and the steps of each best
+    iterate are appended to ``steps``."""
     method = cfg.interp_method
     pairs = {}
-    for which in ("train", "dev", "test"):
-        ids = data.part(which)
-        pairs[which] = [
-            (_synthesize_utterance(data.fsegs[u], method, cfg.frame_rate, optim),
-             data.series[u])
-            for u in ids
-        ]
+    for which in parts:
+        pairs[which] = []
+        for u in data.part(which):
+            fseg = data.fsegs[u]
+            if optim is None:
+                traj = synthesize(fseg, method, cfg.frame_rate)
+            else:
+                best = optimize_targets(fseg, method, optim)
+                if steps is not None:
+                    steps.append(best.steps)
+                traj = synthesize_targets(fseg.utterance_id, best.t, best.X, method,
+                                          cfg.frame_rate)
+            pairs[which].append((traj, data.series[u]))
     return pairs
 
 
 def _speaker_score(
     data: SpeakerData, cfg: ExperimentConfig, optim: OptimConfig | None, eval_part: str
-) -> np.ndarray:
-    pairs = _speaker_pairs(data, cfg, optim)
-    return score(train_probe(pairs["train"], pairs["dev"]), pairs[eval_part])
+) -> tuple[np.ndarray, list[int]]:
+    """Pearson row on ``eval_part`` of the probe fitted on train, and the steps
+    of each optimized utterance's best iterate.  Only train, dev and
+    ``eval_part`` are synthesized."""
+    steps: list[int] = []
+    parts = dict.fromkeys(("train", "dev", eval_part))  # ordered, without a repeat
+    pairs = _speaker_pairs(data, cfg, optim, parts, steps)
+    return score(train_probe(pairs["train"], pairs["dev"]), pairs[eval_part]), steps
 
 
-def _optim_from_cfg(cfg: ExperimentConfig, timing_lr: float, position_lr: float,
-                    lam: float) -> OptimConfig:
-    return OptimConfig(
-        timing_lr=timing_lr, position_lr=position_lr, lam=lam,
-        max_steps=cfg.max_steps, optimize_timing=cfg.optimize_timing,
-        optimize_position=cfg.optimize_position, min_gap=cfg.min_gap,
-    )
+def _grid_point(cfg: ExperimentConfig, data: list[SpeakerData],
+                oc: OptimConfig) -> tuple[dict, dict]:
+    """One grid point's row of grid.json and its manifest fields, which add
+    the number of utterances optimized and of those whose best iterate moved
+    from the start (``improved``)."""
+    row = {"timing_lr": oc.timing_lr, "position_lr": oc.position_lr, "lambda": oc.lam}
+    counts = {"optimized": None, "improved": None}
+    try:
+        results = [_speaker_score(d, cfg, oc, "dev") for d in data]
+    except DivergenceError as exc:
+        row.update(dev_score=None, error=str(exc))
+    else:
+        row["dev_score"] = aggregate(np.vstack([r for r, _ in results]),
+                                     tuple(cfg.speakers)).grand
+        steps = [n for _, point_steps in results for n in point_steps]
+        counts = {"optimized": len(steps), "improved": sum(n > 0 for n in steps)}
+    fields = {("lam" if k == "lambda" else k): v for k, v in row.items()}
+    return row, {**fields, **counts}
 
 
-def grid_search(
-    cfg: ExperimentConfig,
-    data: list[SpeakerData] | None = None,
-    manifest: RunManifest | None = None,
-) -> tuple[OptimConfig, list[dict]]:
-    """Evaluate the hyper-parameter grid on the development split.
+def grid_search(cfg: ExperimentConfig, run: Run | None = None) -> tuple[OptimConfig, list[dict]]:
+    """Evaluate the hyper-parameter grid on the development split and write
+    grid.json.
 
     Returns the best configuration (dev articulatory score argmax; ties fall
     to the smallest lambda, then the smallest learning rates through the
     deterministic grid order) and the per-point score table.  A point whose
     optimization diverges is recorded as failed, with no dev score and the
-    error, and left out of the argmax.
+    error, and left out of the argmax.  Each point is a cached stage of
+    ``run`` (a new run of ``cfg`` by default), diverged points included.
     """
     if not cfg.wants_optimization:
         raise ConfigError("grid search requires optimization to be enabled")
@@ -417,95 +485,38 @@ def grid_search(
         max_steps=cfg.max_steps,
         min_gap=cfg.min_gap,
     )
-    if not configs:
-        raise ConfigError("empty hyper-parameter grid")
-    table = resolve_table(cfg)
-    if data is None:
-        data = [prepare_speaker(cfg, table, s) for s in cfg.speakers]
-
-    rows = []
-    for oc in configs:
-        row = {"timing_lr": oc.timing_lr, "position_lr": oc.position_lr, "lambda": oc.lam}
-        t0 = time.perf_counter()
-        try:
-            scores = [_speaker_score(d, cfg, oc, "dev") for d in data]
-            row["dev_score"] = aggregate(np.vstack(scores), tuple(cfg.speakers)).grand
-        except DivergenceError as exc:
-            row.update(dev_score=None, error=str(exc))
-        seconds = time.perf_counter() - t0
-        rows.append(row)
-        if manifest is not None:
-            s = row["dev_score"]
-            outcome = ({"dev_score": None, "error": row["error"]} if s is None
-                       else {"dev_score": round(s, 9)})
-            manifest.record("grid-eval", _hash_obj(row), False, seconds,
-                            timing_lr=oc.timing_lr, position_lr=oc.position_lr, lam=oc.lam,
-                            **outcome)
+    run = run or Run(cfg)
+    data = run.data
+    rows = [run.stage("grid-eval", run.key("grid", cfg.speakers, oc),
+                      lambda oc=oc: _grid_point(cfg, data, oc),
+                      describe=lambda point: point[1])[0]
+            for oc in configs]
     ok = [i for i, r in enumerate(rows) if r["dev_score"] is not None]
     if not ok:
         raise ConfigError(f"every grid point failed; the first: {rows[0]['error']}")
-    best_idx = ok[int(np.argmax([rows[i]["dev_score"] for i in ok]))]
-    return configs[best_idx], rows
+    best = configs[ok[int(np.argmax([rows[i]["dev_score"] for i in ok]))]]
+    (run.out / "grid.json").write_text(
+        json.dumps({"best": asdict(best), "points": rows}, indent=2, sort_keys=True),
+        encoding="utf-8")
+    return best, rows
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[ScoreReport, RunManifest]:
     """Full pipeline: ingest -> synthesize (optionally optimized) -> probe -> score."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    cache = Cache(out / "cache")
-    manifest = RunManifest(config=json.loads(json.dumps(asdict(cfg), default=str)))
-    table = resolve_table(cfg)
-    table_digest = _table_digest(table)
-    input_hash = {s: _speaker_input_hash(cfg, table_digest, s) for s in cfg.speakers}
-
-    def prep_one(speaker: str) -> SpeakerData:
-        key = "prep-" + _hash_bytes(input_hash[speaker].encode(), speaker.encode())
-        t0 = time.perf_counter()
-        hit = cache.get(key)
-        if hit is not None:
-            manifest.record(f"prepare/{speaker}", key, True, time.perf_counter() - t0)
-            return hit
-        try:
-            data = prepare_speaker(cfg, table, speaker)
-        except (AlignmentError, EmaError, FeatureTableError) as exc:
-            raise ConfigError(f"stage prepare/{speaker} failed: {exc}") from exc
-        cache.put(key, data)
-        manifest.record(f"prepare/{speaker}", key, False, time.perf_counter() - t0)
-        return data
-
-    data = [prep_one(s) for s in cfg.speakers]
-
+    run = Run(cfg)
+    data = run.data
     optim: OptimConfig | None = None
     if cfg.wants_optimization:
-        optim, grid_rows = grid_search(cfg, data, manifest)
-        (out / "grid.json").write_text(
-            json.dumps({"best": asdict(optim), "points": grid_rows},
-                       indent=2, sort_keys=True), encoding="utf-8")
-
-    def score_one(d: SpeakerData) -> np.ndarray:
-        cfg_slice = {"method": cfg.method, "frame_rate": cfg.frame_rate,
-                     "optim": asdict(optim) if optim else None}
-        key = "score-" + _hash_bytes(input_hash[d.speaker].encode(),
-                                     _hash_obj(cfg_slice).encode())
-        t0 = time.perf_counter()
-        hit = cache.get(key)
-        if hit is not None:
-            manifest.record(f"score/{d.speaker}", key, True, time.perf_counter() - t0)
-            return hit
-        try:
-            row = _speaker_score(d, cfg, optim, "test")
-        except (ForwardError, OptimizeError, ProbeError) as exc:
-            raise ConfigError(f"stage score/{d.speaker} failed: {exc}") from exc
-        cache.put(key, row)
-        manifest.record(f"score/{d.speaker}", key, False, time.perf_counter() - t0)
-        return row
-
-    rows = [score_one(d) for d in data]
+        optim, _ = grid_search(cfg, run)
+    rows = [run.stage(f"score/{d.speaker}", run.key("score", [d.speaker], optim),
+                      lambda d=d: _speaker_score(d, cfg, optim, "test")[0],
+                      (ForwardError, OptimizeError, DivergenceError, ProbeError))
+            for d in data]
     report = aggregate(np.vstack(rows), tuple(cfg.speakers))
-    (out / "report.csv").write_text(report.to_csv(), encoding="utf-8")
-    (out / "report.txt").write_text(report.to_text(), encoding="utf-8")
-    (out / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
-    return report, manifest
+    (run.out / "report.csv").write_text(report.to_csv(), encoding="utf-8")
+    (run.out / "report.txt").write_text(report.to_text(), encoding="utf-8")
+    (run.out / "manifest.json").write_text(run.manifest.to_json(), encoding="utf-8")
+    return report, run.manifest
 
 
 # ---------------------------------------------------------------------------
@@ -710,11 +721,10 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _cmd_ingest(args) -> int:
-    cfg = _load_config(args)
-    table = resolve_table(cfg)
+    run = Run(_load_config(args))
     summary = {}
-    for spk in cfg.speakers:
-        data = prepare_speaker(cfg, table, spk)
+    for data in run.data:
+        spk = data.speaker
         summary[spk] = {
             "utterances": len(data.fsegs) + len(data.rejected),
             "kept": len(data.fsegs),
@@ -724,20 +734,17 @@ def _cmd_ingest(args) -> int:
         }
         print(f"{spk}: kept {summary[spk]['kept']}, "
               f"rejected {len(data.rejected)}, nan repairs {data.nan_repairs}")
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "ingest.json").write_text(json.dumps(summary, indent=2, sort_keys=True),
-                                     encoding="utf-8")
+    (run.out / "ingest.json").write_text(json.dumps(summary, indent=2, sort_keys=True),
+                                         encoding="utf-8")
     return 0
 
 
 def _cmd_synth(args) -> int:
     cfg = _load_config(args)
-    table = resolve_table(cfg)
     method = cfg.interp_method
     out = Path(cfg.out_dir) / "trajectories"
-    for spk in cfg.speakers:
-        data = prepare_speaker(cfg, table, spk)
+    for data in Run(cfg).data:
+        spk = data.speaker
         spk_out = out / spk
         spk_out.mkdir(parents=True, exist_ok=True)
         wanted = [args.utterance] if args.utterance else sorted(data.fsegs)
@@ -755,11 +762,12 @@ def _cmd_optimize(args) -> int:
     cfg = _load_config(args)
     if not cfg.wants_optimization:
         raise ConfigError("optimize command requires optimize_timing or optimize_position")
-    table = resolve_table(cfg)
-    oc = _optim_from_cfg(cfg, args.timing_lr, args.position_lr, args.lam)
+    oc = OptimConfig(timing_lr=args.timing_lr, position_lr=args.position_lr, lam=args.lam,
+                     max_steps=cfg.max_steps, optimize_timing=cfg.optimize_timing,
+                     optimize_position=cfg.optimize_position, min_gap=cfg.min_gap)
     out = Path(cfg.out_dir) / "optimized"
-    for spk in cfg.speakers:
-        data = prepare_speaker(cfg, table, spk)
+    for data in Run(cfg).data:
+        spk = data.speaker
         spk_out = out / spk
         spk_out.mkdir(parents=True, exist_ok=True)
         for utt in sorted(data.fsegs):
@@ -770,17 +778,15 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    cfg = _load_config(args)
-    table = resolve_table(cfg)
-    out = Path(cfg.out_dir) / "probes"
-    out.mkdir(parents=True, exist_ok=True)
-    for spk in cfg.speakers:
-        data = prepare_speaker(cfg, table, spk)
-        pairs = _speaker_pairs(data, cfg, None)
+    run = Run(_load_config(args))
+    out = run.out / "probes"
+    out.mkdir(exist_ok=True)
+    for data in run.data:
+        pairs = _speaker_pairs(data, run.cfg, None, ("train", "dev"))
         probe = train_probe(pairs["train"], pairs["dev"])
-        np.savez(out / f"{spk}.npz", weight=probe.weight, bias=probe.bias,
+        np.savez(out / f"{data.speaker}.npz", weight=probe.weight, bias=probe.bias,
                  best_dev_loss=probe.best_dev_loss)
-        print(f"{spk}: probe trained (dev loss {probe.best_dev_loss:.6g})")
+        print(f"{data.speaker}: probe trained (dev loss {probe.best_dev_loss:.6g})")
     return 0
 
 
@@ -793,13 +799,7 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    cfg = _load_config(args)
-    best, rows = grid_search(cfg)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "grid.json").write_text(
-        json.dumps({"best": asdict(best), "points": rows}, indent=2, sort_keys=True),
-        encoding="utf-8")
+    best, _ = grid_search(_load_config(args))
     print(f"best: timing_lr={best.timing_lr} position_lr={best.position_lr} "
           f"lambda={best.lam}")
     return 0
@@ -822,9 +822,7 @@ def _cmd_gen_synthetic(args) -> int:
 
 def _cmd_plot(args) -> int:
     cfg = _load_config(args)
-    table = resolve_table(cfg)
-    spk = cfg.speakers[0]
-    data = prepare_speaker(cfg, table, spk)
+    data = Run(cfg).prepare(cfg.speakers[0])
     utt = args.utterance or sorted(data.fsegs)[0]
     if utt not in data.fsegs:
         raise ConfigError(f"unknown utterance {utt!r}")

@@ -11,6 +11,7 @@ import phonotraj.cli as cli
 from phonotraj.cli import (ConfigError, ExperimentConfig, generate_synthetic,
                            grid_search, make_splits, prepare_speaker,
                            resolve_table, run_experiment, synthetic_config)
+from phonotraj.optimize import DivergenceError
 from phonotraj.probe import ProbeModel, score
 
 
@@ -84,11 +85,14 @@ def test_config_validates_method_and_splits():
 
 
 def test_config_rejects_frame_rate_other_than_100(tmp_path):
-    with pytest.raises(ConfigError, match="frame_rate"):
-        ExperimentConfig(dataset_root="/d", speakers=("a",), frame_rate=200.0)
+    # frame_rate is a class constant, not a field: a config cannot name it
+    assert ExperimentConfig.frame_rate == 100.0
+    assert "frame_rate" not in ExperimentConfig.__dataclass_fields__
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"dataset_root": str(tmp_path), "speakers": ["a"],
                                 "frame_rate": 200.0}), encoding="utf-8")
+    with pytest.raises(ConfigError, match="unknown config fields.*frame_rate"):
+        ExperimentConfig.from_file(path)
     assert cli.main(["run", "--config", str(path)]) == 1
 
 
@@ -133,6 +137,30 @@ def test_optimization_with_a_non_cubic_method_rejected_up_front(tmp_path, monkey
                     encoding="utf-8")
     assert cli.main(["grid", "--config", str(path)]) == 1
     assert prepared == []
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("max_steps", 2.5, "max_steps must be an integer"),
+    ("max_steps", True, "max_steps must be an integer"),
+    ("max_steps", -1, "max_steps must be non-negative"),
+    ("seed", "x", "seed must be an integer"),
+    ("seed", 1.0, "seed must be an integer"),
+    ("min_gap", 0, "min_gap = 0"),
+    ("min_gap", float("nan"), "min_gap = nan"),
+])
+def test_config_rejects_unusable_optimizer_settings_up_front(tmp_path, monkeypatch, capsys,
+                                                             field, value, message):
+    # "max_steps": 2.5 and "seed": "x" used to exit 2 as runtime failures, and
+    # "min_gap": 0 failed only after every speaker had been prepared.
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(dataset_root="/d", speakers=("a",), **{field: value})
+    monkeypatch.setattr(cli, "prepare_speaker", lambda *a: pytest.fail("prepared a speaker"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dataset_root": str(tmp_path), "speakers": ["a"],
+                                "method": "cubic_hermite", "optimize_position": True,
+                                field: value}), encoding="utf-8")
+    assert cli.main(["run", "--config", str(path)]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_config_naming_jobs_rejected(tmp_path):
@@ -261,10 +289,10 @@ def test_grid_tie_breaks_to_smaller_lambda(tiny_root, tmp_path):
 
 def test_full_replication_grid_logs_90_evaluations(tiny_root, tmp_path):
     cfg = small_grid_cfg(tiny_root, tmp_path)  # default axes: 5 x 3 x 6
-    manifest = cli.RunManifest(config={})
-    best, rows = grid_search(cfg, manifest=manifest)
+    run = cli.Run(cfg)
+    best, rows = grid_search(cfg, run)
     assert len(rows) == 90
-    assert sum(1 for s in manifest.stages if s["stage"] == "grid-eval") == 90
+    assert sum(1 for s in run.manifest.stages if s["stage"] == "grid-eval") == 90
 
 
 def test_grid_uses_config_min_gap(tiny_root, tmp_path, monkeypatch):
@@ -296,11 +324,12 @@ def test_grid_eval_records_each_points_own_time(tiny_root, tmp_path, monkeypatch
         return speaker_score(data, point_cfg, optim, part)
 
     monkeypatch.setattr(cli, "_speaker_score", slow_at_1e4)
-    manifest = cli.RunManifest(config={})
+    run = cli.Run(cfg)
     t0 = time.perf_counter()
-    grid_search(cfg, manifest=manifest)
+    grid_search(cfg, run)
     wall = time.perf_counter() - t0
-    seconds = {s["lam"]: s["seconds"] for s in manifest.stages if s["stage"] == "grid-eval"}
+    seconds = {s["lam"]: s["seconds"] for s in run.manifest.stages
+               if s["stage"] == "grid-eval"}
     assert len(seconds) == 3
     assert all(x >= 0 for x in seconds.values())
     assert sum(seconds.values()) <= wall
@@ -349,6 +378,87 @@ def test_run_experiment_with_optimization(tiny_root, tmp_path):
     assert len(grid["points"]) == 2
     assert np.isfinite(rep.grand)
     assert any(s["stage"] == "grid-eval" for s in manifest.stages)
+
+
+def test_grid_points_never_optimize_the_test_split(tiny_root, tmp_path, monkeypatch, capsys):
+    # A test utterance that diverges used to knock every grid point out of
+    # model selection; only the score stage may touch the test split.
+    cfg = small_grid_cfg(tiny_root, tmp_path, timing_lrs=[1e-5], position_lrs=[1e-2],
+                         lambdas=[0.0, 1e3])
+    test_ids = set(prepare_speaker(cfg, resolve_table(cfg), "spk00").splits.test)
+    optimize_targets = cli.optimize_targets
+
+    def diverge_on_test(fseg, method, oc):
+        if fseg.utterance_id in test_ids:
+            raise DivergenceError(f"{fseg.utterance_id}: objective diverged", None)
+        return optimize_targets(fseg, method, oc)
+
+    monkeypatch.setattr(cli, "optimize_targets", diverge_on_test)
+    _, rows = grid_search(cfg)
+    assert len(rows) == 2 and all(np.isfinite(r["dev_score"]) for r in rows)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg.to_json(), encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    assert "stage score/spk00" in capsys.readouterr().err
+
+
+def grid_evals(cfg) -> list[dict]:
+    manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
+    return [s for s in manifest["stages"] if s["stage"] == "grid-eval"]
+
+
+def test_grid_eval_counts_optimized_and_improved_utterances(tiny_root, tmp_path, monkeypatch):
+    cfg = small_grid_cfg(tiny_root, tmp_path, timing_lrs=[1e-5], position_lrs=[1e-2],
+                         lambdas=[0.0, 1e3])
+    train_ids = set(prepare_speaker(cfg, resolve_table(cfg), "spk00").splits.train)
+    optimize_targets = cli.optimize_targets
+
+    def one_step_on_train(fseg, method, oc):
+        best = optimize_targets(fseg, method, oc)
+        return replace(best, steps=1) if fseg.utterance_id in train_ids else best
+
+    monkeypatch.setattr(cli, "optimize_targets", one_step_on_train)
+    run_experiment(cfg)
+    n_train, n_dev, _ = cfg.split_sizes
+    for entry in grid_evals(cfg):
+        assert entry["optimized"] == n_train + n_dev
+        assert entry["improved"] == n_train
+    grid = json.loads((Path(cfg.out_dir) / "grid.json").read_text())
+    assert all(set(p) == {"timing_lr", "position_lr", "lambda", "dev_score"}
+               for p in grid["points"])
+
+
+def test_warm_rerun_of_an_optimizing_config_is_fully_cached(tiny_root, tmp_path, monkeypatch):
+    cfg = small_grid_cfg(tiny_root, tmp_path, timing_lrs=[1e-5], position_lrs=[1e-2, 1e150],
+                         lambdas=[0.0])  # the second point diverges
+    run_experiment(cfg)
+    grid = (Path(cfg.out_dir) / "grid.json").read_bytes()
+    monkeypatch.setattr(cli, "optimize_targets", lambda *a: pytest.fail("optimized"))
+    _, manifest = run_experiment(cfg)
+    assert len(grid_evals(cfg)) == 2
+    assert manifest.stages and all(s["cached"] for s in manifest.stages)
+    assert (Path(cfg.out_dir) / "grid.json").read_bytes() == grid
+    assert grid_evals(cfg)[1]["error"]
+
+
+def test_adding_a_lambda_recomputes_only_the_new_point(tiny_root, tmp_path):
+    cfg = small_grid_cfg(tiny_root, tmp_path, timing_lrs=[1e-5], position_lrs=[1e-2],
+                         lambdas=[0.0, 1e3])
+    run_experiment(cfg)
+    run_experiment(replace(cfg, grid={**cfg.grid, "lambdas": [0.0, 1e3, 1e4]}))
+    assert {e["lam"]: e["cached"] for e in grid_evals(cfg)} == {
+        0.0: True, 1e3: True, 1e4: False}
+
+
+def test_grid_eval_keys_cover_package_source(tiny_root, tmp_path, monkeypatch):
+    cfg = small_grid_cfg(tiny_root, tmp_path, timing_lrs=[1e-5], position_lrs=[1e-2],
+                         lambdas=[0.0, 1e3])
+    run_experiment(cfg)
+    run_experiment(cfg)
+    assert [e["cached"] for e in grid_evals(cfg)] == [True, True]
+    monkeypatch.setattr(cli, "_source_digest", lambda: "edited source")
+    run_experiment(cfg)
+    assert [e["cached"] for e in grid_evals(cfg)] == [False, False]
 
 
 def test_optimize_command_writes_target_csvs(tiny_root, tmp_path):
@@ -444,6 +554,19 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert "epochs" not in capsys.readouterr().out
     with np.load(tmp_path / "out" / "probes" / "spk00.npz") as saved:
         assert sorted(saved.files) == ["best_dev_loss", "bias", "weight"]
+
+
+def test_subcommands_read_speakers_from_the_run_cache(tmp_path, monkeypatch):
+    root = tmp_path / "ds"
+    generate_synthetic(root, speakers=1, utterances=14, dim=4, seed=5)
+    cfg = synthetic_config(root, utterances=14, speakers=1, out_dir=str(tmp_path / "out"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg.to_json(), encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    monkeypatch.setattr(cli, "prepare_speaker", lambda *a: pytest.fail("prepared a speaker"))
+    for command in (["synth"], ["ingest"], ["probe"],
+                    ["plot", "--svg", str(tmp_path / "traj.svg")]):
+        assert cli.main([*command, "--config", str(cfg_path)]) == 0
 
 
 def test_cli_validation_error_exit_code(tmp_path):
