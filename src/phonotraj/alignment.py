@@ -101,10 +101,9 @@ def _validate_contiguous(utt: str, phones: list[Phone]) -> None:
         prev_end = ph.end
 
 
-def parse_lab(path, utterance_id: str | None = None) -> PhoneSegmentation:
+def parse_lab(path) -> PhoneSegmentation:
     """Parse a whitespace-separated `start end label` alignment file."""
     path = _Path(path)
-    utt = utterance_id or path.stem
     phones = []
     for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
@@ -117,81 +116,80 @@ def parse_lab(path, utterance_id: str | None = None) -> PhoneSegmentation:
         except ValueError as exc:
             raise AlignmentError(f"{path}:{i}: bad time field") from exc
         phones.append(Phone(" ".join(parts[2:]), start, end))
-    _validate_contiguous(utt, phones)
-    return PhoneSegmentation(utt, tuple(phones))
+    _validate_contiguous(path.stem, phones)
+    return PhoneSegmentation(path.stem, tuple(phones))
 
 
-_TG_NUM = re.compile(r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+# A TextGrid token is a quoted string, in which Praat doubles an inner '"',
+# or a bare word.  Bare words that start like a number are numbers; the rest
+# ("xmin =", "intervals [1]:", "<exists>") only name or index values.
+_TG_TOKEN = re.compile(r'"((?:[^"]|"")*)"|(\S+)')
 
 
-def parse_textgrid(path, utterance_id: str | None = None) -> PhoneSegmentation:
-    """Parse the first interval tier of a Praat TextGrid (long or short form)."""
+def _textgrid_tokens(path: _Path, text: str):
+    """The strings (str) and numbers (float) of a TextGrid, long or short form."""
+    for m in _TG_TOKEN.finditer(text):
+        if m.group(1) is not None:
+            yield m.group(1).replace('""', '"')
+        elif m.group(2)[0] in "+-.0123456789":
+            try:
+                yield float(m.group(2))
+            except ValueError as exc:
+                raise AlignmentError(f"{path}: {m.group(2)!r} is not a number") from exc
+
+
+def parse_textgrid(path) -> PhoneSegmentation:
+    """Parse the first interval tier of a Praat TextGrid (long or short form).
+
+    Both forms hold the same value sequence after the "IntervalTier" class
+    string: tier name, xmin, xmax, interval count n, then n (xmin, xmax,
+    text) triples.
+    """
     path = _Path(path)
-    utt = utterance_id or path.stem
-    text = path.read_text(encoding="utf-8", errors="replace")
-    if "IntervalTier" not in text:
+    tokens = _textgrid_tokens(path, path.read_text(encoding="utf-8", errors="replace"))
+    if "IntervalTier" not in tokens:  # consumes the tokens up to the tier's class
         raise AlignmentError(f"{path}: no interval tier found")
-    # Cut to the first interval tier: from its declaration to the next tier
-    # declaration (or EOF).
-    tier_starts = [m.start() for m in re.finditer(r'"IntervalTier"', text)]
-    body = text[tier_starts[0]:] if len(tier_starts) == 1 else text[tier_starts[0]:tier_starts[1]]
+
+    def take(kind: type):
+        token = next(tokens, None)
+        if token is None:
+            raise AlignmentError(f"{path}: truncated interval tier")
+        if not isinstance(token, kind):
+            raise AlignmentError(f"{path}: expected a {'label' if kind is str else 'number'}, "
+                                 f"got {token!r}")
+        return token
+
+    for kind in (str, float, float):  # tier name, xmin, xmax
+        take(kind)
+    n = take(float)
+    if n < 0 or not n.is_integer():
+        raise AlignmentError(f"{path}: bad interval count {n:g}")
     phones = []
-    if re.search(r"intervals\s*\[", body):
-        # Long form: xmin/xmax/text attributes per interval.
-        blocks = re.split(r"intervals\s*\[\d+\]\s*:", body)[1:]
-        for blk in blocks:
-            xmin = re.search(r"xmin\s*=\s*(" + _TG_NUM.pattern + ")", blk)
-            xmax = re.search(r"xmax\s*=\s*(" + _TG_NUM.pattern + ")", blk)
-            label = re.search(r'text\s*=\s*"([^"]*)"', blk)
-            if not (xmin and xmax and label is not None):
-                raise AlignmentError(f"{path}: malformed interval block")
-            phones.append(Phone(label.group(1).strip(), float(xmin.group(1)), float(xmax.group(1))))
-    else:
-        # Short form: name, xmin, xmax, size, then start/end/"label" triples.
-        lines = [ln.strip() for ln in body.splitlines() if ln.strip()]
-        vals: list[str] = []
-        for ln in lines[1:]:  # skip the "IntervalTier" line itself
-            vals.append(ln)
-        # vals: tier name, tier xmin, tier xmax, n, then triples
-        if len(vals) < 4:
-            raise AlignmentError(f"{path}: truncated short-form tier")
-        try:
-            n = int(vals[3])
-        except ValueError as exc:
-            raise AlignmentError(f"{path}: bad interval count") from exc
-        triples = vals[4 : 4 + 3 * n]
-        if len(triples) != 3 * n:
-            raise AlignmentError(f"{path}: expected {n} intervals")
-        for i in range(n):
-            start = float(triples[3 * i])
-            end = float(triples[3 * i + 1])
-            label = triples[3 * i + 2].strip().strip('"')
-            phones.append(Phone(label, start, end))
-    if not phones:
-        raise AlignmentError(f"{path}: empty tier")
-    _validate_contiguous(utt, phones)
-    return PhoneSegmentation(utt, tuple(phones))
+    for _ in range(int(n)):
+        start, end = take(float), take(float)
+        phones.append(Phone(take(str).strip(), start, end))
+    _validate_contiguous(path.stem, phones)
+    return PhoneSegmentation(path.stem, tuple(phones))
 
 
-def parse_alignment(path, fmt: str | None = None, utterance_id: str | None = None) -> PhoneSegmentation:
-    """Parse an alignment file; format inferred from the extension if omitted."""
+ALIGNMENT_READERS = {".lab": parse_lab, ".textgrid": parse_textgrid}
+
+
+def parse_alignment(path) -> PhoneSegmentation:
+    """Parse an alignment file with the reader its suffix names in ALIGNMENT_READERS."""
     path = _Path(path)
-    if fmt is None:
-        fmt = "textgrid" if path.suffix.lower() == ".textgrid" else "lab"
-    if fmt == "lab":
-        return parse_lab(path, utterance_id)
-    if fmt == "textgrid":
-        return parse_textgrid(path, utterance_id)
-    raise AlignmentError(f"unknown alignment format {fmt!r}")
+    reader = ALIGNMENT_READERS.get(path.suffix.lower())
+    if reader is None:
+        raise AlignmentError(f"{path}: unknown alignment suffix {path.suffix!r}; "
+                             f"known: {', '.join(ALIGNMENT_READERS)}")
+    return reader(path)
 
 
 def is_silence(label: str) -> bool:
     return label.strip().lower() in SILENCE_LABELS
 
 
-def trim_and_filter(
-    seg: PhoneSegmentation, silence_labels: frozenset[str] | None = None
-) -> PhoneSegmentation | None:
+def trim_and_filter(seg: PhoneSegmentation) -> PhoneSegmentation | None:
     """Strip boundary silences, re-timing the remainder to start at zero.
 
     Returns None (rejection) when silence flanks only one side of the
@@ -199,17 +197,12 @@ def trim_and_filter(
     boundary silence are returned unchanged, which makes the operation
     idempotent on its own output.
     """
-    sils = silence_labels if silence_labels is not None else SILENCE_LABELS
-
-    def _sil(ph: Phone) -> bool:
-        return ph.label.strip().lower() in sils
-
     phones = seg.phones
     lead = 0
-    while lead < len(phones) and _sil(phones[lead]):
+    while lead < len(phones) and is_silence(phones[lead].label):
         lead += 1
     trail = 0
-    while trail < len(phones) - lead and _sil(phones[len(phones) - 1 - trail]):
+    while trail < len(phones) - lead and is_silence(phones[len(phones) - 1 - trail].label):
         trail += 1
     if lead == 0 and trail == 0:
         return seg

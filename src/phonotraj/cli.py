@@ -26,10 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .alignment import (AlignmentError, FeaturalSegmentation, Phone,
+from .alignment import (ALIGNMENT_READERS, AlignmentError, FeaturalSegmentation, Phone,
                         PhoneSegmentation, build_featural, parse_alignment,
                         trim_and_filter)
-from .ema import (CHANNELS, ArticulatorySeries, EmaError, EmaRecord,
+from .ema import (CHANNELS, EMA_READERS, ArticulatorySeries, EmaError, EmaRecord,
                   align_frames, filter_and_downsample, fit_guided_pca,
                   load_ema, project, write_est_track)
 from .forward import ForwardError, InterpMethod, Trajectory, synthesize, synthesize_targets
@@ -48,6 +48,10 @@ GRID_AXES = {"timing_lrs": "timing_lr", "position_lrs": "position_lr", "lambdas"
 
 class ConfigError(ValueError):
     """Invalid experiment configuration or dataset layout."""
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -69,16 +73,22 @@ class ExperimentConfig:
     frame_rate = 100.0  # Hz, the rate of the EMA frames; a class constant, not a field
 
     def __post_init__(self):
+        if not (isinstance(self.speakers, (list, tuple))
+                and all(isinstance(s, str) for s in self.speakers)):
+            raise ConfigError(f"speakers must be a list of names, got {self.speakers!r}")
         if not self.speakers:
             raise ConfigError("config lists no speakers")
-        if len(self.split_sizes) != 3 or any(s < 0 for s in self.split_sizes):
-            raise ConfigError(f"bad split sizes {self.split_sizes}")
-        if self.split_sizes[0] < 1 or self.split_sizes[1] < 1 or self.split_sizes[2] < 1:
+        if not (isinstance(self.split_sizes, (list, tuple)) and len(self.split_sizes) == 3
+                and all(_is_int(s) for s in self.split_sizes)):
+            raise ConfigError(f"split_sizes must be three integers, got {self.split_sizes!r}")
+        if min(self.split_sizes) < 1:
             raise ConfigError("every split needs at least one utterance")
+        for name in ("optimize_timing", "optimize_position"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         for name in ("max_steps", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.max_steps < 0:
             raise ConfigError(f"max_steps must be non-negative, got {self.max_steps}")
         try:
@@ -120,10 +130,9 @@ class ExperimentConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "speakers" in raw:
-            raw["speakers"] = tuple(raw["speakers"])
-        if "split_sizes" in raw:
-            raw["split_sizes"] = tuple(raw["split_sizes"])
+        for name in ("speakers", "split_sizes"):
+            if isinstance(raw.get(name), list):
+                raw[name] = tuple(raw[name])
         try:
             return cls(**raw)
         except TypeError as exc:
@@ -168,10 +177,6 @@ def make_splits(ids, sizes: tuple[int, int, int], seed: int) -> Splits:
 # dataset discovery and content hashing
 # ---------------------------------------------------------------------------
 
-_ALIGN_EXTS = (".lab", ".textgrid")
-_EMA_EXTS = (".ema", ".csv")
-
-
 def discover_utterances(root: Path, speaker: str) -> list[tuple[str, Path, Path]]:
     """(utterance id, ema path, alignment path) triples, sorted by id."""
     spk_dir = root / speaker
@@ -180,9 +185,9 @@ def discover_utterances(root: Path, speaker: str) -> list[tuple[str, Path, Path]
     stems: dict[str, dict[str, Path]] = {}
     for p in spk_dir.iterdir():
         suffix = p.suffix.lower()
-        if suffix in _ALIGN_EXTS:
+        if suffix in ALIGNMENT_READERS:
             stems.setdefault(p.stem, {})["align"] = p
-        elif suffix in _EMA_EXTS:
+        elif suffix in EMA_READERS:
             stems.setdefault(p.stem, {})["ema"] = p
     out = []
     for stem in sorted(stems):
@@ -293,13 +298,13 @@ def prepare_speaker(cfg: ExperimentConfig, table: FeatureTable, speaker: str) ->
     rejected = []
     repairs = 0
     for utt, ema_path, align_path in utts:
-        seg = parse_alignment(align_path, utterance_id=utt)
+        seg = parse_alignment(align_path)
         trimmed = trim_and_filter(seg)
         if trimmed is None or len(trimmed) == 0:
             rejected.append(utt)
             continue
         fsegs[utt] = build_featural(trimmed, table)
-        rec = load_ema(ema_path, utterance_id=utt)
+        rec = load_ema(ema_path)
         if rec.sample_rate == 500:
             rec = filter_and_downsample(rec)
         records[utt] = rec
@@ -409,6 +414,9 @@ class Run:
         """Every speaker of the config, prepared once per run."""
         return [self.prepare(s) for s in self.cfg.speakers]
 
+    def write_manifest(self) -> None:
+        (self.out / "manifest.json").write_text(self.manifest.to_json(), encoding="utf-8")
+
 
 def _speaker_pairs(data: SpeakerData, cfg: ExperimentConfig, optim: OptimConfig | None,
                    parts=("train", "dev", "test"), steps: list | None = None) -> dict:
@@ -515,7 +523,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[ScoreReport, RunManifest]:
     report = aggregate(np.vstack(rows), tuple(cfg.speakers))
     (run.out / "report.csv").write_text(report.to_csv(), encoding="utf-8")
     (run.out / "report.txt").write_text(report.to_text(), encoding="utf-8")
-    (run.out / "manifest.json").write_text(run.manifest.to_json(), encoding="utf-8")
+    run.write_manifest()
     return report, run.manifest
 
 
@@ -799,7 +807,9 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_grid(args) -> int:
-    best, _ = grid_search(_load_config(args))
+    run = Run(_load_config(args))
+    best, _ = grid_search(run.cfg, run)
+    run.write_manifest()
     print(f"best: timing_lr={best.timing_lr} position_lr={best.position_lr} "
           f"lambda={best.lam}")
     return 0

@@ -120,18 +120,23 @@ def _parse_est_header(raw: bytes, path) -> tuple[dict, int]:
     return fields, end
 
 
-def load_est_track(path, utterance_id: str | None = None) -> EmaRecord:
+def load_est_track(path) -> EmaRecord:
     """Read an EST binary track: ASCII header, then f32 frames of
     (time, flag, channel values)."""
     path = Path(path)
-    utt = utterance_id or path.stem
     raw = path.read_bytes()
     fields, offset = _parse_est_header(raw, path)
     try:
         n_frames = int(fields["NumFrames"])
         n_channels = int(fields["NumChannels"])
+        rate = round(float(fields["SampleRate"])) if "SampleRate" in fields else None
     except KeyError as exc:
         raise EmaError(f"{path}: header missing {exc}") from exc
+    except (ValueError, OverflowError) as exc:
+        raise EmaError(f"{path}: bad header value: {exc}") from exc
+    if fields.get("DataType") != "binary":
+        raise EmaError(f"{path}: only binary tracks supported, "
+                       f"DataType is {fields.get('DataType')!r}")
     if fields.get("ByteOrder", "01") != "01":
         raise EmaError(f"{path}: only little-endian tracks supported")
     names = []
@@ -140,25 +145,22 @@ def load_est_track(path, utterance_id: str | None = None) -> EmaRecord:
         if key not in fields:
             raise EmaError(f"{path}: header missing {key}")
         names.append(fields[key].strip().lower())
-    width = n_channels + 2
-    data = np.frombuffer(raw, dtype="<f4", count=n_frames * width, offset=offset)
-    if data.size != n_frames * width:
-        raise EmaError(f"{path}: truncated frame data")
-    data = data.reshape(n_frames, width).astype(float)
-    times = data[:, 0]
-    if "SampleRate" in fields:
-        rate = int(round(float(fields["SampleRate"])))
-    else:
-        dt = np.median(np.diff(times)) if n_frames > 1 else 0.0
-        if dt <= 0:
-            raise EmaError(f"{path}: cannot infer sample rate")
-        rate = int(round(1.0 / dt))
     missing = [c for c in CHANNELS if c not in names]
     if missing:
         raise EmaError(f"{path}: channels missing from track: {missing}")
+    width = n_channels + 2
+    if n_frames < 0 or len(raw) - offset < 4 * n_frames * width:
+        raise EmaError(f"{path}: truncated frame data")
+    data = np.frombuffer(raw, dtype="<f4", count=n_frames * width, offset=offset)
+    data = data.reshape(n_frames, width).astype(float)
+    if rate is None:
+        dt = np.median(np.diff(data[:, 0])) if n_frames > 1 else 0.0
+        if not dt > 0:
+            raise EmaError(f"{path}: cannot infer sample rate")
+        rate = int(round(1.0 / dt))
     cols = [names.index(c) + 2 for c in CHANNELS]
-    channels, repairs = _repair_nans(data[:, cols], utt)
-    return EmaRecord(utt, rate, channels, repairs)
+    channels, repairs = _repair_nans(data[:, cols], path.stem)
+    return EmaRecord(path.stem, rate, channels, repairs)
 
 
 def write_est_track(path, rec: EmaRecord) -> None:
@@ -179,33 +181,30 @@ def write_est_track(path, rec: EmaRecord) -> None:
         f.write(frames.tobytes())
 
 
-def load_csv(path, utterance_id: str | None = None, sample_rate: int | None = None) -> EmaRecord:
-    """CSV fallback: header row of channel names, optional leading time column."""
+def load_csv(path) -> EmaRecord:
+    """CSV fallback: header row of channel names, including a time column in
+    seconds from which the sample rate is read."""
     path = Path(path)
-    utt = utterance_id or path.stem
     lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
     if len(lines) < 2:
         raise EmaError(f"{path}: no data rows")
     names = [c.strip().lower() for c in lines[0].split(",")]
-    missing = [c for c in CHANNELS if c not in names]
+    missing = [c for c in ("time",) + CHANNELS if c not in names]
     if missing:
-        raise EmaError(f"{path}: channels missing from CSV: {missing}")
-    data = np.array([[float(v) if v.strip().lower() not in ("", "nan") else np.nan
-                      for v in ln.split(",")] for ln in lines[1:]])
-    if data.shape[1] != len(names):
+        raise EmaError(f"{path}: columns missing from CSV: {missing}")
+    rows = [ln.split(",") for ln in lines[1:]]
+    if any(len(row) != len(names) for row in rows):
         raise EmaError(f"{path}: ragged CSV rows")
-    if sample_rate is None:
-        if "time" in names:
-            tcol = data[:, names.index("time")]
-            dt = np.median(np.diff(tcol)) if data.shape[0] > 1 else 0.0
-            if dt <= 0:
-                raise EmaError(f"{path}: cannot infer sample rate from time column")
-            sample_rate = int(round(1.0 / dt))
-        else:
-            raise EmaError(f"{path}: sample rate unknown (no time column)")
+    try:
+        data = np.array([[float(v) if v.strip() else np.nan for v in row] for row in rows])
+    except ValueError as exc:
+        raise EmaError(f"{path}: {exc}") from exc
+    dt = np.median(np.diff(data[:, names.index("time")])) if len(rows) > 1 else 0.0
+    if not dt > 0:
+        raise EmaError(f"{path}: cannot infer sample rate from time column")
     cols = [names.index(c) for c in CHANNELS]
-    channels, repairs = _repair_nans(data[:, cols], utt)
-    return EmaRecord(utt, sample_rate, channels, repairs)
+    channels, repairs = _repair_nans(data[:, cols], path.stem)
+    return EmaRecord(path.stem, int(round(1.0 / dt)), channels, repairs)
 
 
 def write_csv(path, rec: EmaRecord) -> None:
@@ -217,16 +216,17 @@ def write_csv(path, rec: EmaRecord) -> None:
                     + ",".join(f"{v:.9g}" for v in rec.channels[i]) + "\n")
 
 
-def load_ema(path, fmt: str | None = None, utterance_id: str | None = None) -> EmaRecord:
-    """Load an EMA recording; format inferred from the extension if omitted."""
+EMA_READERS = {".ema": load_est_track, ".csv": load_csv}
+
+
+def load_ema(path) -> EmaRecord:
+    """Load an EMA recording with the reader its suffix names in EMA_READERS."""
     path = Path(path)
-    if fmt is None:
-        fmt = "csv" if path.suffix.lower() == ".csv" else "est_track"
-    if fmt == "est_track":
-        return load_est_track(path, utterance_id)
-    if fmt == "csv":
-        return load_csv(path, utterance_id)
-    raise EmaError(f"unknown EMA format {fmt!r}")
+    reader = EMA_READERS.get(path.suffix.lower())
+    if reader is None:
+        raise EmaError(f"{path}: unknown EMA suffix {path.suffix!r}; "
+                       f"known: {', '.join(EMA_READERS)}")
+    return reader(path)
 
 
 @cache

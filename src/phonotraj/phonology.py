@@ -39,11 +39,6 @@ BASE_DIMENSIONS = {
     "phoneme_onehot": 47,
 }
 
-KNOWN_SET_IDS = tuple(BASE_DIMENSIONS) + tuple(
-    s + ENRICH_SUFFIX for s in BASE_DIMENSIONS if s != "phoneme_onehot"
-)
-
-
 class FeatureTableError(ValueError):
     """Malformed feature-table data or an invalid lookup."""
 
@@ -58,16 +53,16 @@ class ApCategoryScale:
 
     categories: dict[str, tuple[str, ...]]
 
-    def scalar(self, feature: str, category: str) -> float:
+    def rank(self, feature: str, category: str) -> int:
+        """Position of ``category`` in ``feature``'s order; unknown ones are errors."""
         cats = self.categories[feature]
         if category not in cats:
             raise FeatureTableError(f"unknown category {category!r} for feature {feature!r}")
-        if len(cats) == 1:
-            return 0.0
-        return cats.index(category) / (len(cats) - 1)
+        return cats.index(category)
 
-    def size(self, feature: str) -> int:
-        return len(self.categories[feature])
+    def scalar(self, feature: str, category: str) -> float:
+        top = len(self.categories[feature]) - 1
+        return self.rank(feature, category) / top if top else 0.0
 
 
 @dataclass(frozen=True)
@@ -100,9 +95,6 @@ class FeatureTable:
     def is_enriched(self) -> bool:
         return self.set_id.endswith(ENRICH_SUFFIX)
 
-    def __contains__(self, phoneme: str) -> bool:
-        return normalize_label(phoneme) in self.vectors
-
 
 def normalize_label(label: str) -> str:
     """Canonical form of a phone label; silence variants collapse to 'sil'."""
@@ -114,18 +106,18 @@ def _data_path(name: str) -> Path:
     return Path(resources.files("phonotraj") / "data" / name)
 
 
-def load_inventory(path: str | Path | None = None) -> tuple[str, ...]:
-    """Read the ordered phoneme inventory (one label per line)."""
-    p = Path(path) if path is not None else _data_path("inventory.txt")
+def load_inventory() -> tuple[str, ...]:
+    """Read the shipped ordered phoneme inventory (one label per line)."""
+    p = _data_path("inventory.txt")
     labels = [ln.strip() for ln in p.read_text(encoding="utf-8").splitlines() if ln.strip()]
     if len(labels) != len(set(labels)):
         raise FeatureTableError(f"duplicate labels in inventory {p}")
     return tuple(labels)
 
 
-def load_ap_scale(path: str | Path | None = None) -> ApCategoryScale:
-    """Read the feature/category/rank TSV defining the AP category orders."""
-    p = Path(path) if path is not None else _data_path("ap_scale.tsv")
+def load_ap_scale() -> ApCategoryScale:
+    """Read the shipped feature/category/rank TSV defining the AP category orders."""
+    p = _data_path("ap_scale.tsv")
     ranks: dict[str, dict[int, str]] = {}
     for i, line in enumerate(p.read_text(encoding="utf-8").splitlines()):
         if not line.strip():
@@ -175,20 +167,15 @@ def _read_rows(path: Path) -> tuple[tuple[str, ...], list[tuple[str, list[str]]]
 _GP_ALPHABET = {"+": 1.0, "-": -1.0}
 
 
-def load_feature_table(
-    path: str | Path,
-    set_id: str,
-    *,
-    scale: ApCategoryScale | None = None,
-    inventory: tuple[str, ...] | None = None,
-) -> FeatureTable:
+def load_feature_table(path: str | Path, set_id: str) -> FeatureTable:
     """Load and validate a feature table from its TSV file.
 
     GP tables use the {+, -, 0} alphabet; AP tables use category labels with
-    '0' marking unknown, resolved against ``scale``.  ``set_id`` values
-    starting with "custom" accept the GP alphabet at any dimension (used by
-    the synthetic-data generator).  The silence row is always generated, never
-    read: silence is the all-zero vector.
+    '0' marking unknown, resolved against the shipped category scale.
+    ``set_id`` values starting with "custom" accept the GP alphabet at any
+    dimension (used by the synthetic-data generator) and define their own
+    inventory; the others must cover the shipped inventory.  The silence row
+    is always generated, never read: silence is the all-zero vector.
     """
     path = Path(path)
     if set_id.startswith("gp_") or set_id.startswith("custom"):
@@ -209,8 +196,7 @@ def load_feature_table(
             vectors[ph] = vec
         groups: tuple[tuple[int, ...], ...] = ()
     elif set_id in ("ap_scalar", "ap_onehot"):
-        if scale is None:
-            scale = load_ap_scale()
+        scale = load_ap_scale()
         names_in, rows = _read_rows(path)
         for feat in names_in:
             if feat not in scale.categories:
@@ -227,9 +213,7 @@ def load_feature_table(
         else:
             names_list: list[str] = []
             group_list: list[tuple[int, ...]] = []
-            offsets = {}
             for feat in names_in:
-                offsets[feat] = len(names_list)
                 cats = scale.categories[feat]
                 group_list.append(tuple(range(len(names_list), len(names_list) + len(cats))))
                 names_list.extend(f"{feat}={c}" for c in cats)
@@ -237,18 +221,11 @@ def load_feature_table(
             vectors = {}
             for ph, values in rows:
                 vec = np.zeros(len(names))
-                for j, v in enumerate(values):
-                    feat = names_in[j]
-                    lo = offsets[feat]
-                    hi = lo + scale.size(feat)
+                for feat, group, v in zip(names_in, group_list, values):
                     if v == "0":
-                        vec[lo:hi] = math.nan
+                        vec[list(group)] = math.nan
                     else:
-                        if v not in scale.categories[feat]:
-                            raise FeatureTableError(
-                                f"{path}: category {v!r} invalid for feature {feat!r}"
-                            )
-                        vec[lo + scale.categories[feat].index(v)] = 1.0
+                        vec[group[scale.rank(feat, v)]] = 1.0
                 vectors[ph] = vec
             groups = tuple(group_list)
     else:
@@ -260,12 +237,11 @@ def load_feature_table(
         raise FeatureTableError(
             f"{set_id}: table has {len(names)} dimensions, expected {declared}"
         )
-    if inventory is None:
-        if set_id.startswith("custom"):
-            # Custom tables define their own inventory; silence is appended.
-            inventory = tuple(ph for ph, _ in rows) + (SILENCE,)
-        else:
-            inventory = load_inventory()
+    if set_id.startswith("custom"):
+        # Custom tables define their own inventory; silence is appended.
+        inventory = tuple(ph for ph, _ in rows) + (SILENCE,)
+    else:
+        inventory = load_inventory()
     missing = [ph for ph in inventory if ph not in vectors]
     if missing:
         raise FeatureTableError(f"{path}: inventory labels missing from table: {missing}")

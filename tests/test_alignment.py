@@ -140,8 +140,118 @@ def test_parse_alignment_dispatches_on_extension(tmp_path):
     tg.write_text(LONG_TEXTGRID, encoding="utf-8")
     assert len(parse_alignment(lab)) == 3
     assert len(parse_alignment(tg)) == 3
-    with pytest.raises(AlignmentError, match="format"):
-        parse_alignment(lab, fmt="elan")
+    # an unknown suffix is rejected, not read as .lab
+    txt = tmp_path / "u.txt"
+    txt.write_text(lab.read_text(encoding="utf-8"), encoding="utf-8")
+    with pytest.raises(AlignmentError, match="unknown alignment suffix '.txt'"):
+        parse_alignment(txt)
+
+
+# One tier in Praat's long and short text forms: a ""-escaped label, an
+# empty label and a second tier after it.
+TIER_LONG = """File type = "ooTextFile"
+Object class = "TextGrid"
+
+xmin = 0
+xmax = 1.0
+tiers? <exists>
+size = 2
+item []:
+    item [1]:
+        class = "IntervalTier"
+        name = "phones"
+        xmin = 0
+        xmax = 1.0
+        intervals: size = 4
+        intervals [1]:
+            xmin = 0
+            xmax = 0.25
+            text = ""
+        intervals [2]:
+            xmin = 0.25
+            xmax = 0.5
+            text = "a""a"
+        intervals [3]:
+            xmin = 0.5
+            xmax = 0.75
+            text = "b"
+        intervals [4]:
+            xmin = 0.75
+            xmax = 1.0
+            text = "sil"
+    item [2]:
+        class = "IntervalTier"
+        name = "words"
+        xmin = 0
+        xmax = 1.0
+        intervals: size = 1
+        intervals [1]:
+            xmin = 0
+            xmax = 1.0
+            text = "word"
+"""
+
+TIER_SHORT = """File type = "ooTextFile"
+Object class = "TextGrid"
+
+0
+1.0
+<exists>
+2
+"IntervalTier"
+"phones"
+0
+1.0
+4
+0
+0.25
+""
+0.25
+0.5
+"a""a"
+0.5
+0.75
+"b"
+0.75
+1.0
+"sil"
+"IntervalTier"
+"words"
+0
+1.0
+1
+0
+1.0
+"word"
+"""
+
+
+def test_parse_textgrid_long_and_short_forms_agree(tmp_path):
+    read = []
+    for name, text in (("long", TIER_LONG), ("short", TIER_SHORT)):
+        p = tmp_path / f"{name}.TextGrid"
+        p.write_text(text, encoding="utf-8")
+        read.append([(ph.label, ph.start, ph.end) for ph in parse_textgrid(p).phones])
+    assert read[0] == read[1] == [
+        ("", 0.0, 0.25), ('a"a', 0.25, 0.5), ("b", 0.5, 0.75), ("sil", 0.75, 1.0)
+    ]
+
+
+@pytest.mark.parametrize("text, message", [
+    (TIER_SHORT.replace("\n0.5\n0.75\n", "\n0.5\nlater\n"), "expected a number"),
+    (TIER_SHORT.replace("\n0.5\n0.75\n", "\n0.5\n0.75s\n"), "'0.75s' is not a number"),
+    (TIER_LONG.replace("xmax = 0.75", "xmax = 0.75s"), "'0.75s' is not a number"),
+    (TIER_SHORT.replace("\n4\n", "\n9\n"), "expected a number"),
+    (TIER_SHORT.replace("\n4\n", "\n2.5\n"), "bad interval count"),
+    (TIER_SHORT.split('"IntervalTier"')[0], "no interval tier"),
+    (TIER_SHORT[:TIER_SHORT.index('"b"')], "truncated"),
+], ids=["time-is-a-word", "time-with-unit-short", "time-with-unit-long", "count-too-large",
+        "count-not-whole", "no-interval-tier", "truncated"])
+def test_parse_textgrid_rejects_malformed_tier(tmp_path, text, message):
+    p = tmp_path / "bad.TextGrid"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(AlignmentError, match=message):
+        parse_textgrid(p)
 
 
 # ---------------------------------------------------------------------------

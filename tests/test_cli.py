@@ -11,6 +11,7 @@ import phonotraj.cli as cli
 from phonotraj.cli import (ConfigError, ExperimentConfig, generate_synthetic,
                            grid_search, make_splits, prepare_speaker,
                            resolve_table, run_experiment, synthetic_config)
+from phonotraj.ema import load_est_track, write_csv
 from phonotraj.optimize import DivergenceError
 from phonotraj.probe import ProbeModel, score
 
@@ -147,13 +148,21 @@ def test_optimization_with_a_non_cubic_method_rejected_up_front(tmp_path, monkey
     ("seed", 1.0, "seed must be an integer"),
     ("min_gap", 0, "min_gap = 0"),
     ("min_gap", float("nan"), "min_gap = nan"),
+    ("split_sizes", [10.0, 2.0, 2.0], "split_sizes must be three integers"),
+    ("split_sizes", [10, 2], "split_sizes must be three integers"),
+    ("speakers", "spk00", "speakers must be a list of names"),
+    ("speakers", ["spk00", 1], "speakers must be a list of names"),
+    ("optimize_timing", "yes", "optimize_timing must be true or false"),
+    ("optimize_position", 1, "optimize_position must be true or false"),
 ])
 def test_config_rejects_unusable_optimizer_settings_up_front(tmp_path, monkeypatch, capsys,
                                                              field, value, message):
-    # "max_steps": 2.5 and "seed": "x" used to exit 2 as runtime failures, and
-    # "min_gap": 0 failed only after every speaker had been prepared.
+    # "max_steps": 2.5 and "seed": "x" used to exit 2 as runtime failures,
+    # "min_gap": 0 and "split_sizes": [10.0, 2.0, 2.0] failed only after every
+    # input file had been read, "speakers": "spk00" named five one-letter
+    # speakers and "optimize_timing": "yes" passed as true.
     with pytest.raises(ConfigError, match=message):
-        ExperimentConfig(dataset_root="/d", speakers=("a",), **{field: value})
+        ExperimentConfig(**{"dataset_root": "/d", "speakers": ("a",), field: value})
     monkeypatch.setattr(cli, "prepare_speaker", lambda *a: pytest.fail("prepared a speaker"))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"dataset_root": str(tmp_path), "speakers": ["a"],
@@ -351,6 +360,17 @@ def test_grid_records_diverged_point_as_failed(tiny_root, tmp_path):
     evals = [s for s in manifest["stages"] if s["stage"] == "grid-eval"]
     assert [s["dev_score"] is None for s in evals] == [False, True]
     assert evals[1]["error"] == diverged["error"]
+
+
+def test_grid_command_writes_the_manifest(tiny_root, tmp_path):
+    cfg = small_grid_cfg(tiny_root, tmp_path, timing_lrs=[1e-5], position_lrs=[1e-2],
+                         lambdas=[0.0, 1e3])
+    cfg_path = tmp_path / "grid.json"
+    cfg_path.write_text(cfg.to_json(), encoding="utf-8")
+    assert cli.main(["grid", "--config", str(cfg_path)]) == 0
+    manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
+    assert [s["stage"] for s in manifest["stages"]] == ["prepare/spk00", "grid-eval", "grid-eval"]
+    assert [s["lam"] for s in manifest["stages"][1:]] == [0.0, 1e3]
 
 
 def test_grid_fails_when_every_point_diverges(tiny_root, tmp_path):
@@ -576,6 +596,54 @@ def test_cli_validation_error_exit_code(tmp_path):
                                     "split_sizes": [5, 1, 1]}), encoding="utf-8")
     assert cli.main(["run", "--config", str(cfg_path)]) == 1
     assert cli.main(["run", "--config", str(tmp_path / "missing.json")]) == 1
+
+
+def _cut_est_track(utt: Path) -> None:
+    ema = utt.with_suffix(".ema")
+    ema.write_bytes(ema.read_bytes()[:-64])
+
+
+def _ascii_est_track(utt: Path) -> None:
+    ema = utt.with_suffix(".ema")
+    ema.write_bytes(ema.read_bytes().replace(b"DataType binary", b"DataType ascii"))
+
+
+def _csv_replacing(old: str, new: str):
+    def corrupt(utt: Path) -> None:
+        ema = utt.with_suffix(".ema")
+        csv = utt.with_suffix(".csv")
+        write_csv(csv, load_est_track(ema))
+        ema.unlink()
+        csv.write_text(csv.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+    return corrupt
+
+
+def _textgrid_with_time(time: str):
+    def corrupt(utt: Path) -> None:
+        utt.with_suffix(".lab").unlink()
+        utt.with_suffix(".TextGrid").write_text(
+            'File type = "ooTextFile"\nObject class = "TextGrid"\n\n0\n1\n<exists>\n1\n'
+            f'"IntervalTier"\n"phones"\n0\n1\n1\n0\n{time}\n"sil"\n', encoding="utf-8")
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_cut_est_track, "truncated frame data"),
+    (_ascii_est_track, "only binary tracks"),
+    (_csv_replacing("\n0.01,", "\n0.01x,"), "'0.01x'"),
+    (_csv_replacing("\n0.01,", "\n"), "ragged CSV rows"),
+    (_textgrid_with_time("1s"), "'1s' is not a number"),
+], ids=["est-truncated", "est-ascii", "csv-non-numeric", "csv-ragged", "textgrid-bad-time"])
+def test_malformed_input_file_is_a_validation_error(tmp_path, capsys, corrupt, message):
+    # Each of these used to end in a plain ValueError: exit 2, "runtime failure".
+    root = tmp_path / "ds"
+    generate_synthetic(root, speakers=1, utterances=14, dim=4, seed=5)
+    corrupt(root / "spk00" / "spk00_003")
+    cfg = synthetic_config(root, utterances=14, speakers=1, out_dir=str(tmp_path / "out"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg.to_json(), encoding="utf-8")
+    assert cli.main(["ingest", "--config", str(cfg_path)]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_cli_runtime_error_exit_code(tmp_path, monkeypatch):

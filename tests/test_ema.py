@@ -80,6 +80,9 @@ def test_est_and_csv_agree(tmp_path):
     b = load_ema(csv)
     assert a.sample_rate == b.sample_rate == 500
     np.testing.assert_allclose(a.channels, b.channels, atol=1e-5)
+    # any other suffix is rejected, not read as an EST track
+    with pytest.raises(EmaError, match="unknown EMA suffix '.dat'"):
+        load_ema(est.rename(tmp_path / "u.dat"))
 
 
 def test_missing_channel_rejected(tmp_path):
@@ -102,6 +105,34 @@ def test_not_an_est_file(tmp_path):
     path.write_bytes(b"this is not a track")
     with pytest.raises(EmaError, match="not an EST"):
         load_est_track(path)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda raw: raw[:-64], "truncated frame data"),
+    (lambda raw: raw.replace(b"DataType binary", b"DataType ascii"),
+     "only binary tracks supported, DataType is 'ascii'"),
+    (lambda raw: raw.replace(b"NumFrames 100", b"NumFrames many"), "bad header value"),
+], ids=["truncated", "ascii", "bad-frame-count"])
+def test_est_track_rejects_unreadable_data(tmp_path, corrupt, message):
+    path = tmp_path / "u.ema"
+    write_est_track(path, make_record(n=100))
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(EmaError, match=message):
+        load_est_track(path)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda row: "0.5x," + row.split(",", 1)[1], "'0.5x'"),
+    (lambda row: row.rsplit(",", 1)[0], "ragged CSV rows"),
+], ids=["non-numeric", "ragged"])
+def test_csv_rejects_unreadable_rows(tmp_path, corrupt, message):
+    path = tmp_path / "u.csv"
+    write_csv(path, make_record(n=20))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[3] = corrupt(lines[3])
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(EmaError, match=message):
+        load_csv(path)
 
 
 def test_nan_repair_and_limit(tmp_path):

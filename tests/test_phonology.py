@@ -198,4 +198,4 @@ def test_declared_dimension_enforced(tmp_path):
     row = "p\t" + "\t".join("+" for _ in range(25))
     short.write_text(header + "\n" + row + "\n", encoding="utf-8")
     with pytest.raises(FeatureTableError, match="expected 26"):
-        load_feature_table(short, "gp_unknown", inventory=("p", "sil"))
+        load_feature_table(short, "gp_unknown")
