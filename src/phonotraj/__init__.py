@@ -8,8 +8,7 @@ from .ema import (ArticulatorySeries, EmaRecord, GuidedPcaModel, align_frames,
                   filter_and_downsample, fit_guided_pca, load_ema, project)
 from .forward import (DimensionNodes, InterpMethod, Trajectory, interpolate,
                       second_derivative, select_nodes, synthesize)
-from .optimize import (OptimConfig, OptimizedTargets, gradient_check,
-                       objective, optimize_targets)
+from .optimize import OptimConfig, OptimizedTargets, objective, optimize_targets
 from .phonology import (ApCategoryScale, FeatureTable, encode_target,
                         enrich_with_phonemes, get_table, load_feature_table)
 from .probe import (AdamState, ProbeModel, ScoreReport, adam_step, aggregate,
@@ -23,8 +22,7 @@ __all__ = [
     "filter_and_downsample", "fit_guided_pca", "load_ema", "project",
     "DimensionNodes", "InterpMethod", "Trajectory", "interpolate",
     "second_derivative", "select_nodes", "synthesize",
-    "OptimConfig", "OptimizedTargets", "gradient_check", "objective",
-    "optimize_targets",
+    "OptimConfig", "OptimizedTargets", "objective", "optimize_targets",
     "ApCategoryScale", "FeatureTable", "encode_target", "enrich_with_phonemes",
     "get_table", "load_feature_table",
     "AdamState", "ProbeModel", "ScoreReport", "adam_step", "aggregate",

@@ -178,22 +178,28 @@ def make_splits(ids, sizes: tuple[int, int, int], seed: int) -> Splits:
 # ---------------------------------------------------------------------------
 
 def discover_utterances(root: Path, speaker: str) -> list[tuple[str, Path, Path]]:
-    """(utterance id, ema path, alignment path) triples, sorted by id."""
+    """(utterance id, ema path, alignment path) triples, sorted by id.  Two
+    alignments or two EMA files with one stem are a ConfigError."""
     spk_dir = root / speaker
     if not spk_dir.is_dir():
         raise ConfigError(f"speaker directory missing: {spk_dir}")
     stems: dict[str, dict[str, Path]] = {}
     for p in spk_dir.iterdir():
         suffix = p.suffix.lower()
-        if suffix in ALIGNMENT_READERS:
-            stems.setdefault(p.stem, {})["align"] = p
-        elif suffix in EMA_READERS:
-            stems.setdefault(p.stem, {})["ema"] = p
+        kind = ("alignment" if suffix in ALIGNMENT_READERS
+                else "EMA" if suffix in EMA_READERS else None)
+        if kind is None:
+            continue
+        pair = stems.setdefault(p.stem, {})
+        if kind in pair:
+            raise ConfigError(f"{speaker}/{p.stem}: two {kind} files, "
+                              + " and ".join(sorted((pair[kind].name, p.name))))
+        pair[kind] = p
     out = []
     for stem in sorted(stems):
         pair = stems[stem]
-        if "align" in pair and "ema" in pair:
-            out.append((stem, pair["ema"], pair["align"]))
+        if "alignment" in pair and "EMA" in pair:
+            out.append((stem, pair["EMA"], pair["alignment"]))
         else:
             log.warning("%s/%s: unpaired file, skipped", speaker, stem)
     if not out:
@@ -473,17 +479,18 @@ def _grid_point(cfg: ExperimentConfig, data: list[SpeakerData],
     return row, {**fields, **counts}
 
 
-def grid_search(cfg: ExperimentConfig, run: Run | None = None) -> tuple[OptimConfig, list[dict]]:
-    """Evaluate the hyper-parameter grid on the development split and write
-    grid.json.
+def grid_search(run: Run) -> tuple[OptimConfig, list[dict]]:
+    """Evaluate the hyper-parameter grid of ``run.cfg`` on the development
+    split and write grid.json.
 
     Returns the best configuration (dev articulatory score argmax; ties fall
     to the smallest lambda, then the smallest learning rates through the
     deterministic grid order) and the per-point score table.  A point whose
     optimization diverges is recorded as failed, with no dev score and the
     error, and left out of the argmax.  Each point is a cached stage of
-    ``run`` (a new run of ``cfg`` by default), diverged points included.
+    ``run``, diverged points included.
     """
+    cfg = run.cfg
     if not cfg.wants_optimization:
         raise ConfigError("grid search requires optimization to be enabled")
     configs = grid_configs(
@@ -493,7 +500,6 @@ def grid_search(cfg: ExperimentConfig, run: Run | None = None) -> tuple[OptimCon
         max_steps=cfg.max_steps,
         min_gap=cfg.min_gap,
     )
-    run = run or Run(cfg)
     data = run.data
     rows = [run.stage("grid-eval", run.key("grid", cfg.speakers, oc),
                       lambda oc=oc: _grid_point(cfg, data, oc),
@@ -515,7 +521,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[ScoreReport, RunManifest]:
     data = run.data
     optim: OptimConfig | None = None
     if cfg.wants_optimization:
-        optim, _ = grid_search(cfg, run)
+        optim, _ = grid_search(run)
     rows = [run.stage(f"score/{d.speaker}", run.key("score", [d.speaker], optim),
                       lambda d=d: _speaker_score(d, cfg, optim, "test")[0],
                       (ForwardError, OptimizeError, DivergenceError, ProbeError))
@@ -647,25 +653,6 @@ def generate_synthetic(
     return root
 
 
-def synthetic_config(root, *, utterances: int = 56, speakers: int = 2,
-                     seed: int = 0, method: str = "linear",
-                     out_dir: str | None = None) -> ExperimentConfig:
-    """Config matching generate_synthetic's layout: 40/8/8 splits per 56 utts."""
-    n_test = max(utterances // 7, 1)
-    n_dev = max(utterances // 7, 1)
-    n_train = utterances - n_dev - n_test
-    return ExperimentConfig(
-        dataset_root=str(root),
-        speakers=tuple(f"spk{s:02d}" for s in range(speakers)),
-        feature_set="custom",
-        feature_table_path="features.tsv",
-        method=method,
-        split_sizes=(n_train, n_dev, n_test),
-        seed=seed,
-        out_dir=out_dir or str(Path(root) / "out"),
-    )
-
-
 # ---------------------------------------------------------------------------
 # SVG trajectory plot (debugging aid; no plotting dependency)
 # ---------------------------------------------------------------------------
@@ -728,8 +715,7 @@ def _load_config(args) -> ExperimentConfig:
     return replace(cfg, **overrides) if overrides else cfg
 
 
-def _cmd_ingest(args) -> int:
-    run = Run(_load_config(args))
+def _cmd_ingest(run: Run, args) -> None:
     summary = {}
     for data in run.data:
         spk = data.speaker
@@ -744,49 +730,43 @@ def _cmd_ingest(args) -> int:
               f"rejected {len(data.rejected)}, nan repairs {data.nan_repairs}")
     (run.out / "ingest.json").write_text(json.dumps(summary, indent=2, sort_keys=True),
                                          encoding="utf-8")
-    return 0
 
 
-def _cmd_synth(args) -> int:
-    cfg = _load_config(args)
-    method = cfg.interp_method
-    out = Path(cfg.out_dir) / "trajectories"
-    for data in Run(cfg).data:
-        spk = data.speaker
-        spk_out = out / spk
+def _find_utterance(run: Run, utt: str) -> SpeakerData:
+    """The prepared speaker that holds utterance ``utt``."""
+    for data in run.data:
+        if utt in data.fsegs:
+            return data
+    raise ConfigError(f"unknown utterance {utt!r}: no speaker of the config has it")
+
+
+def _cmd_synth(run: Run, args) -> None:
+    if args.utterance:
+        wanted = [(_find_utterance(run, args.utterance), [args.utterance])]
+    else:
+        wanted = [(data, sorted(data.fsegs)) for data in run.data]
+    for data, utts in wanted:
+        spk_out = run.out / "trajectories" / data.speaker
         spk_out.mkdir(parents=True, exist_ok=True)
-        wanted = [args.utterance] if args.utterance else sorted(data.fsegs)
-        for utt in wanted:
-            if utt not in data.fsegs:
-                raise ConfigError(f"unknown utterance {utt!r} for speaker {spk}")
-            traj = synthesize(data.fsegs[utt], method, cfg.frame_rate)
+        for utt in utts:
+            traj = synthesize(data.fsegs[utt], run.cfg.interp_method, run.cfg.frame_rate)
             traj.to_csv(spk_out / f"{utt}.csv")
             traj.save_binary(spk_out / f"{utt}.traj")
-        print(f"{spk}: wrote {len(wanted)} trajectories to {spk_out}")
-    return 0
+        print(f"{data.speaker}: wrote {len(utts)} trajectories to {spk_out}")
 
 
-def _cmd_optimize(args) -> int:
-    cfg = _load_config(args)
-    if not cfg.wants_optimization:
-        raise ConfigError("optimize command requires optimize_timing or optimize_position")
-    oc = OptimConfig(timing_lr=args.timing_lr, position_lr=args.position_lr, lam=args.lam,
-                     max_steps=cfg.max_steps, optimize_timing=cfg.optimize_timing,
-                     optimize_position=cfg.optimize_position, min_gap=cfg.min_gap)
-    out = Path(cfg.out_dir) / "optimized"
-    for data in Run(cfg).data:
-        spk = data.speaker
-        spk_out = out / spk
+def _cmd_optimize(run: Run, args) -> None:
+    best, _ = grid_search(run)
+    for data in run.data:
+        spk_out = run.out / "optimized" / data.speaker
         spk_out.mkdir(parents=True, exist_ok=True)
         for utt in sorted(data.fsegs):
-            best = optimize_targets(data.fsegs[utt], cfg.interp_method, oc)
-            best.to_csv(spk_out / f"{utt}.csv")
-        print(f"{spk}: optimized {len(data.fsegs)} utterances to {spk_out}")
-    return 0
+            optimize_targets(data.fsegs[utt], run.cfg.interp_method, best).to_csv(
+                spk_out / f"{utt}.csv")
+        print(f"{data.speaker}: optimized {len(data.fsegs)} utterances to {spk_out}")
 
 
-def _cmd_probe(args) -> int:
-    run = Run(_load_config(args))
+def _cmd_probe(run: Run, args) -> None:
     out = run.out / "probes"
     out.mkdir(exist_ok=True)
     for data in run.data:
@@ -795,51 +775,38 @@ def _cmd_probe(args) -> int:
         np.savez(out / f"{data.speaker}.npz", weight=probe.weight, bias=probe.bias,
                  best_dev_loss=probe.best_dev_loss)
         print(f"{data.speaker}: probe trained (dev loss {probe.best_dev_loss:.6g})")
-    return 0
 
 
-def _cmd_score(args) -> int:
-    cfg = _load_config(args)
+def _cmd_score(cfg: ExperimentConfig) -> None:
     report, _ = run_experiment(replace(cfg, optimize_timing=False,
                                        optimize_position=False))
     print(report.to_text())
-    return 0
 
 
-def _cmd_grid(args) -> int:
-    run = Run(_load_config(args))
-    best, _ = grid_search(run.cfg, run)
-    run.write_manifest()
+def _cmd_grid(run: Run, args) -> None:
+    best, _ = grid_search(run)
     print(f"best: timing_lr={best.timing_lr} position_lr={best.position_lr} "
           f"lambda={best.lam}")
-    return 0
 
 
-def _cmd_run(args) -> int:
-    cfg = _load_config(args)
+def _cmd_run(cfg: ExperimentConfig) -> None:
     report, _ = run_experiment(cfg)
     print(report.to_text())
     print(f"articulatory score: {report.grand:.3f}")
-    return 0
 
 
-def _cmd_gen_synthetic(args) -> int:
+def _cmd_gen_synthetic(args) -> None:
     generate_synthetic(args.out, speakers=args.speakers, utterances=args.utterances,
                        dim=args.dim, seed=args.seed, noise=args.noise)
     print(f"synthetic dataset written to {args.out}")
-    return 0
 
 
-def _cmd_plot(args) -> int:
-    cfg = _load_config(args)
-    data = Run(cfg).prepare(cfg.speakers[0])
-    utt = args.utterance or sorted(data.fsegs)[0]
-    if utt not in data.fsegs:
-        raise ConfigError(f"unknown utterance {utt!r}")
-    traj = synthesize(data.fsegs[utt], cfg.interp_method, cfg.frame_rate)
+def _cmd_plot(run: Run, args) -> None:
+    utt = args.utterance or sorted(run.data[0].fsegs)[0]
+    fseg = _find_utterance(run, utt).fsegs[utt]
+    traj = synthesize(fseg, run.cfg.interp_method, run.cfg.frame_rate)
     plot_trajectory_svg(traj, args.svg)
     print(f"wrote {args.svg}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -859,11 +826,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--utterance", default=None)
     p.set_defaults(fn=_cmd_synth)
 
-    p = sub.add_parser("optimize", help="optimize target positions/timings")
+    p = sub.add_parser("optimize", help="write the targets optimized at the grid's best point")
     _add_common(p)
-    p.add_argument("--timing-lr", type=float, default=1e-5)
-    p.add_argument("--position-lr", type=float, default=1e-2)
-    p.add_argument("--lam", type=float, default=0.0)
     p.set_defaults(fn=_cmd_optimize)
 
     p = sub.add_parser("probe", help="train per-speaker probes")
@@ -904,7 +868,15 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        if "config" not in args:  # gen-synthetic
+            args.fn(args)
+        elif args.fn in (_cmd_run, _cmd_score):  # run_experiment builds and records its own Run
+            args.fn(_load_config(args))
+        else:
+            run = Run(_load_config(args))
+            args.fn(run, args)
+            run.write_manifest()
+        return 0
     except (ConfigError, FeatureTableError, AlignmentError, EmaError,
             ForwardError, OptimizeError, ProbeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ Gradients are analytic and read the same flat node list as synthesis
 (``forward.flat_nodes``).  The Hermite case is local; the natural-cubic case
 differentiates through the stacked moment system of all dimensions with one
 adjoint solve, which reuses the symmetric matrix of the moment solve.  Both
-are validated against central finite differences by ``gradient_check``.
+are validated against central finite differences in the tests.
 
 Boundary rows are frozen (zero positions, fixed timings); unknown entries
 have no node and are not variables.
@@ -273,56 +273,6 @@ def optimize_targets(
             if prev <= 0 and abs(prev - obj) < cfg.rel_tol:
                 break
     return best
-
-
-def free_coordinates(fseg: FeaturalSegmentation) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays of the free position entries and free timing rows."""
-    mask = fseg.specified.copy()
-    mask[0, :] = False
-    mask[-1, :] = False
-    pos = np.argwhere(mask)
-    tim = np.arange(1, fseg.t.size - 1)
-    return pos, tim
-
-
-def gradient_check(
-    fseg: FeaturalSegmentation,
-    method: InterpMethod,
-    cfg: OptimConfig,
-    epsilon: float = 1e-5,
-) -> float:
-    """Max relative error of analytic vs central-finite-difference gradients.
-
-    Every free coordinate of (X', t') is perturbed; the error is relative to
-    the larger gradient magnitude, floored at 1 so near-zero gradients are
-    compared absolutely.
-    """
-    mask = fseg.specified
-    X0 = fseg.X
-    X = X0.copy()
-    t = fseg.t.copy()
-    gX, gt = gradients(t, X, mask, X0, cfg.lam, method)
-    pos, tim = free_coordinates(fseg)
-
-    def f(tv, xv):
-        return objective(tv, xv, mask, X0, cfg.lam, method)
-
-    worst = 0.0
-    for k, j in pos:
-        xp, xm = X.copy(), X.copy()
-        xp[k, j] += epsilon
-        xm[k, j] -= epsilon
-        fd = (f(t, xp) - f(t, xm)) / (2 * epsilon)
-        a = gX[k, j]
-        worst = max(worst, abs(a - fd) / max(1.0, abs(a), abs(fd)))
-    for k in tim:
-        tp, tm = t.copy(), t.copy()
-        tp[k] += epsilon
-        tm[k] -= epsilon
-        fd = (f(tp, X) - f(tm, X)) / (2 * epsilon)
-        a = gt[k]
-        worst = max(worst, abs(a - fd) / max(1.0, abs(a), abs(fd)))
-    return worst
 
 
 def grid_configs(

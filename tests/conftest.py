@@ -1,6 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 
 from phonotraj.alignment import FeaturalSegmentation
+from phonotraj.cli import ExperimentConfig
+from phonotraj.forward import InterpMethod
+from phonotraj.optimize import OptimConfig, gradients, objective
 
 
 def random_fseg(
@@ -45,3 +50,72 @@ def one_sided_derivative(f, x: float, h: float, side: int, order: int = 1) -> fl
         f0, f1, f2, f3 = f(x), f(x + s * h), f(x + 2 * s * h), f(x + 3 * s * h)
         return (2 * f0 - 5 * f1 + 4 * f2 - f3) / (h * h)
     raise ValueError(order)
+
+
+def free_coordinates(fseg: FeaturalSegmentation) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays of the free position entries and free timing rows."""
+    mask = fseg.specified.copy()
+    mask[0, :] = False
+    mask[-1, :] = False
+    pos = np.argwhere(mask)
+    tim = np.arange(1, fseg.t.size - 1)
+    return pos, tim
+
+
+def gradient_check(
+    fseg: FeaturalSegmentation,
+    method: InterpMethod,
+    cfg: OptimConfig,
+    epsilon: float = 1e-5,
+) -> float:
+    """Max relative error of analytic vs central-finite-difference gradients.
+
+    Every free coordinate of (X', t') is perturbed; the error is relative to
+    the larger gradient magnitude, floored at 1 so near-zero gradients are
+    compared absolutely.
+    """
+    mask = fseg.specified
+    X0 = fseg.X
+    X = X0.copy()
+    t = fseg.t.copy()
+    gX, gt = gradients(t, X, mask, X0, cfg.lam, method)
+    pos, tim = free_coordinates(fseg)
+
+    def f(tv, xv):
+        return objective(tv, xv, mask, X0, cfg.lam, method)
+
+    worst = 0.0
+    for k, j in pos:
+        xp, xm = X.copy(), X.copy()
+        xp[k, j] += epsilon
+        xm[k, j] -= epsilon
+        fd = (f(t, xp) - f(t, xm)) / (2 * epsilon)
+        a = gX[k, j]
+        worst = max(worst, abs(a - fd) / max(1.0, abs(a), abs(fd)))
+    for k in tim:
+        tp, tm = t.copy(), t.copy()
+        tp[k] += epsilon
+        tm[k] -= epsilon
+        fd = (f(tp, X) - f(tm, X)) / (2 * epsilon)
+        a = gt[k]
+        worst = max(worst, abs(a - fd) / max(1.0, abs(a), abs(fd)))
+    return worst
+
+
+def synthetic_config(root, *, utterances: int = 56, speakers: int = 2,
+                     seed: int = 0, method: str = "linear",
+                     out_dir: str | None = None) -> ExperimentConfig:
+    """Config matching generate_synthetic's layout: 40/8/8 splits per 56 utts."""
+    n_test = max(utterances // 7, 1)
+    n_dev = max(utterances // 7, 1)
+    n_train = utterances - n_dev - n_test
+    return ExperimentConfig(
+        dataset_root=str(root),
+        speakers=tuple(f"spk{s:02d}" for s in range(speakers)),
+        feature_set="custom",
+        feature_table_path="features.tsv",
+        method=method,
+        split_sizes=(n_train, n_dev, n_test),
+        seed=seed,
+        out_dir=out_dir or str(Path(root) / "out"),
+    )

@@ -12,15 +12,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import one_sided_derivative, random_fseg
+from conftest import gradient_check, one_sided_derivative, random_fseg, synthetic_config
 from phonotraj.alignment import FeaturalSegmentation
-from phonotraj.cli import (ExperimentConfig, generate_synthetic, run_experiment,
-                           synthetic_config)
+from phonotraj.cli import ExperimentConfig, generate_synthetic, run_experiment
 from phonotraj.ema import ArticulatorySeries, EmaRecord, filter_and_downsample
 from phonotraj.forward import (InterpMethod, Trajectory, interpolate,
                                second_derivative, select_nodes)
-from phonotraj.optimize import (OptimConfig, attainment_term, gradient_check,
-                                objective_terms, optimize_targets)
+from phonotraj.optimize import (OptimConfig, attainment_term, objective_terms,
+                                optimize_targets)
 from phonotraj.probe import aggregate, dataset_loss, score, train_probe
 
 L, H, N = (InterpMethod.LINEAR, InterpMethod.CUBIC_HERMITE,

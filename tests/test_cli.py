@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 import phonotraj.cli as cli
+from conftest import synthetic_config
 from phonotraj.cli import (ConfigError, ExperimentConfig, generate_synthetic,
                            grid_search, make_splits, prepare_speaker,
-                           resolve_table, run_experiment, synthetic_config)
+                           resolve_table, run_experiment)
 from phonotraj.ema import load_est_track, write_csv
-from phonotraj.optimize import DivergenceError
+from phonotraj.optimize import DivergenceError, OptimConfig, optimize_targets
 from phonotraj.probe import ProbeModel, score
 
 
@@ -281,7 +282,7 @@ def tiny_root(tmp_path_factory):
 def test_grid_single_point_selected(tiny_root, tmp_path):
     cfg = small_grid_cfg(tiny_root, tmp_path,
                          timing_lrs=[1e-5], position_lrs=[1e-2], lambdas=[1e3])
-    best, rows = grid_search(cfg)
+    best, rows = grid_search(cli.Run(cfg))
     assert len(rows) == 1
     assert best.lam == 1e3 and best.timing_lr == 1e-5 and best.position_lr == 1e-2
 
@@ -291,7 +292,7 @@ def test_grid_tie_breaks_to_smaller_lambda(tiny_root, tmp_path):
                          timing_lrs=[1e-6], position_lrs=[1e-3],
                          lambdas=[0.0, 1e3])
     cfg = replace(cfg, max_steps=0)  # no-op optimization: scores tie exactly
-    best, rows = grid_search(cfg)
+    best, rows = grid_search(cli.Run(cfg))
     assert rows[0]["dev_score"] == rows[1]["dev_score"]
     assert best.lam == 0.0
 
@@ -299,7 +300,7 @@ def test_grid_tie_breaks_to_smaller_lambda(tiny_root, tmp_path):
 def test_full_replication_grid_logs_90_evaluations(tiny_root, tmp_path):
     cfg = small_grid_cfg(tiny_root, tmp_path)  # default axes: 5 x 3 x 6
     run = cli.Run(cfg)
-    best, rows = grid_search(cfg, run)
+    best, rows = grid_search(run)
     assert len(rows) == 90
     assert sum(1 for s in run.manifest.stages if s["stage"] == "grid-eval") == 90
 
@@ -335,7 +336,7 @@ def test_grid_eval_records_each_points_own_time(tiny_root, tmp_path, monkeypatch
     monkeypatch.setattr(cli, "_speaker_score", slow_at_1e4)
     run = cli.Run(cfg)
     t0 = time.perf_counter()
-    grid_search(cfg, run)
+    grid_search(run)
     wall = time.perf_counter() - t0
     seconds = {s["lam"]: s["seconds"] for s in run.manifest.stages
                if s["stage"] == "grid-eval"}
@@ -377,14 +378,14 @@ def test_grid_fails_when_every_point_diverges(tiny_root, tmp_path):
     cfg = small_grid_cfg(tiny_root, tmp_path, timing_lrs=[1e-5],
                          position_lrs=[1e150], lambdas=[0.0])
     with pytest.raises(ConfigError, match="every grid point failed"):
-        grid_search(cfg)
+        grid_search(cli.Run(cfg))
 
 
 def test_grid_requires_optimization(tiny_root, tmp_path):
     cfg = synthetic_config(tiny_root, utterances=14, speakers=1,
                            out_dir=str(tmp_path / "g"))
     with pytest.raises(ConfigError):
-        grid_search(cfg)
+        grid_search(cli.Run(cfg))
 
 
 def test_run_experiment_with_optimization(tiny_root, tmp_path):
@@ -414,7 +415,7 @@ def test_grid_points_never_optimize_the_test_split(tiny_root, tmp_path, monkeypa
         return optimize_targets(fseg, method, oc)
 
     monkeypatch.setattr(cli, "optimize_targets", diverge_on_test)
-    _, rows = grid_search(cfg)
+    _, rows = grid_search(cli.Run(cfg))
     assert len(rows) == 2 and all(np.isfinite(r["dev_score"]) for r in rows)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(cfg.to_json(), encoding="utf-8")
@@ -482,12 +483,11 @@ def test_grid_eval_keys_cover_package_source(tiny_root, tmp_path, monkeypatch):
 
 
 def test_optimize_command_writes_target_csvs(tiny_root, tmp_path):
-    cfg = small_grid_cfg(tiny_root, tmp_path)
+    cfg = small_grid_cfg(tiny_root, tmp_path, timing_lrs=[1e-5], position_lrs=[1e-2],
+                         lambdas=[1e3])
     cfg_path = tmp_path / "opt.json"
     cfg_path.write_text(cfg.to_json(), encoding="utf-8")
-    assert cli.main(["optimize", "--config", str(cfg_path),
-                     "--timing-lr", "1e-5", "--position-lr", "1e-2",
-                     "--lam", "1000"]) == 0
+    assert cli.main(["optimize", "--config", str(cfg_path)]) == 0
     files = list((Path(cfg.out_dir) / "optimized" / "spk00").glob("*.csv"))
     assert len(files) == 14
 
@@ -587,6 +587,112 @@ def test_subcommands_read_speakers_from_the_run_cache(tmp_path, monkeypatch):
     for command in (["synth"], ["ingest"], ["probe"],
                     ["plot", "--svg", str(tmp_path / "traj.svg")]):
         assert cli.main([*command, "--config", str(cfg_path)]) == 0
+
+
+@pytest.fixture(scope="module")
+def pair_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pair")
+    generate_synthetic(root, speakers=2, utterances=14, dim=4, seed=4)
+    return root
+
+
+def pair_config(root, tmp_path, **grid) -> Path:
+    """A one-point-grid (or ``grid``) optimizing config over both speakers."""
+    cfg = replace(synthetic_config(root, utterances=14, method="cubic_hermite",
+                                   out_dir=str(tmp_path / "out")),
+                  optimize_timing=True, optimize_position=True, max_steps=2,
+                  grid=grid or {"timing_lrs": [1e-5], "position_lrs": [1e-2], "lambdas": [1e3]})
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg.to_json(), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("command", [
+    ["ingest"], ["synth"], ["optimize"], ["probe"], ["grid"], ["plot", "--svg", "traj.svg"],
+    ["run"], ["score"],
+], ids=lambda c: c[0])
+def test_every_config_subcommand_writes_a_manifest(pair_root, tmp_path, monkeypatch, command):
+    # ingest, synth, optimize, probe and plot used to write no manifest.json.
+    monkeypatch.chdir(tmp_path)
+    prepare = cli.prepare_speaker
+    read = []
+
+    def recording(cfg, table, speaker):
+        read.append(speaker)
+        return prepare(cfg, table, speaker)
+
+    monkeypatch.setattr(cli, "prepare_speaker", recording)
+    assert cli.main([*command, "--config", str(pair_config(pair_root, tmp_path))]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    prepared = [s["stage"] for s in manifest["stages"] if s["stage"].startswith("prepare/")]
+    assert prepared == [f"prepare/{s}" for s in read]
+    assert read == ["spk00", "spk01"]
+
+
+def test_optimize_command_writes_the_targets_of_the_best_grid_point(pair_root, tmp_path):
+    cfg_path = pair_config(pair_root, tmp_path, timing_lrs=[1e-5], position_lrs=[1e-2],
+                           lambdas=[0.0, 1e3])
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    assert cli.main(["optimize", "--config", str(cfg_path)]) == 0
+    cfg = ExperimentConfig.from_file(cfg_path)
+    evals = grid_evals(cfg)  # optimize's own manifest: run's grid points, from the cache
+    assert len(evals) == 2 and all(e["cached"] for e in evals)
+    best = OptimConfig(**json.loads((Path(cfg.out_dir) / "grid.json").read_text())["best"])
+    for speaker in cfg.speakers:
+        data = prepare_speaker(cfg, resolve_table(cfg), speaker)
+        written = sorted((Path(cfg.out_dir) / "optimized" / speaker).glob("*.csv"))
+        assert [p.stem for p in written] == sorted(data.fsegs)
+        for path in written:
+            expected = tmp_path / "expected.csv"
+            optimize_targets(data.fsegs[path.stem], cfg.interp_method, best).to_csv(expected)
+            assert path.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("utterance, speaker, other", [
+    ("spk00_003", "spk00", "spk01"), ("spk01_003", "spk01", "spk00")])
+def test_synth_utterance_is_looked_up_over_every_speaker(pair_root, tmp_path, utterance,
+                                                          speaker, other):
+    # synth --utterance spk00_003 used to exit 1 at spk01, leaving an empty
+    # trajectories/spk01/; spk01_003 failed at spk00 before writing anything.
+    assert cli.main(["synth", "--config", str(pair_config(pair_root, tmp_path)),
+                     "--utterance", utterance]) == 0
+    out = tmp_path / "out" / "trajectories"
+    assert sorted(p.name for p in (out / speaker).iterdir()) == [f"{utterance}.csv",
+                                                               f"{utterance}.traj"]
+    assert not (out / other).exists()
+
+
+def test_plot_utterance_is_looked_up_over_every_speaker(pair_root, tmp_path, capsys):
+    # plot used to look only at the first speaker of the config.
+    cfg_path = pair_config(pair_root, tmp_path)
+    svg = tmp_path / "traj.svg"
+    assert cli.main(["plot", "--config", str(cfg_path), "--utterance", "spk01_003",
+                     "--svg", str(svg)]) == 0
+    assert "spk01_003" in svg.read_text()
+    for command in (["plot", "--svg", str(svg)], ["synth"]):
+        assert cli.main([*command, "--config", str(cfg_path), "--utterance", "spk02_000"]) == 1
+        assert "unknown utterance 'spk02_000'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("existing, added", [
+    ("spk00_000.ema", "spk00_000.csv"), ("spk00_000.lab", "spk00_000.TextGrid")])
+def test_two_files_of_one_kind_with_one_stem_rejected(tmp_path, capsys, existing, added):
+    # The file listed last by the directory used to be read, with no warning.
+    root = tmp_path / "ds"
+    generate_synthetic(root, speakers=1, utterances=14, dim=4, seed=5)
+    spk = root / "spk00"
+    if added.endswith(".csv"):
+        write_csv(spk / added, load_est_track(spk / existing))
+    else:
+        (spk / added).write_text('File type = "ooTextFile"\n', encoding="utf-8")
+    both = " and ".join(sorted([existing, added]))  # named in sorted order
+    with pytest.raises(ConfigError, match=f"spk00/spk00_000: two .* files, {both}"):
+        cli.discover_utterances(root, "spk00")
+    cfg = synthetic_config(root, utterances=14, speakers=1, out_dir=str(tmp_path / "out"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg.to_json(), encoding="utf-8")
+    assert cli.main(["ingest", "--config", str(cfg_path)]) == 1
+    assert both in capsys.readouterr().err
 
 
 def test_cli_validation_error_exit_code(tmp_path):

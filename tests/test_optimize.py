@@ -3,15 +3,14 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
-from conftest import random_fseg
+from conftest import gradient_check, random_fseg
 from phonotraj import forward, optimize
 from phonotraj.alignment import FeaturalSegmentation
 from phonotraj.forward import (DimensionNodes, InterpMethod, interpolate,
                                second_derivative)
 from phonotraj.optimize import (DivergenceError, OptimConfig, OptimizeError,
-                                attainment_term, grid_configs, gradient_check,
-                                gradients, objective, objective_terms,
-                                optimize_targets, project_timings,
+                                attainment_term, grid_configs, gradients, objective,
+                                objective_terms, optimize_targets, project_timings,
                                 smoothness_term)
 
 H, N = InterpMethod.CUBIC_HERMITE, InterpMethod.NATURAL_CUBIC
