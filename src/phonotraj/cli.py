@@ -376,8 +376,12 @@ class Run:
         self.cache = Cache(self.out / "cache")
         self.manifest = RunManifest(config=json.loads(json.dumps(asdict(cfg), default=str)))
         self.table = resolve_table(cfg)
+
+    @functools.cached_property
+    def input_hash(self) -> dict[str, str]:
+        """Each speaker's input digest, hashed when a stage first needs it."""
         table_digest = _table_digest(self.table)
-        self.input_hash = {s: _speaker_input_hash(cfg, table_digest, s) for s in cfg.speakers}
+        return {s: _speaker_input_hash(self.cfg, table_digest, s) for s in self.cfg.speakers}
 
     def stage(self, name: str, key: str, compute, errors=(), describe=None):
         """The cached value under ``key``, or ``compute()`` stored there.

@@ -23,7 +23,7 @@ from functools import cache
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import butter, filtfilt
+from scipy.signal import butter, lfilter, lfilter_zi
 
 from .alignment import FeaturalSegmentation
 from .forward import frame_count
@@ -86,12 +86,16 @@ class ArticulatorySeries:
 
 
 def _repair_nans(channels: np.ndarray, utt: str) -> tuple[np.ndarray, int]:
-    """Linearly interpolate NaN runs per channel; reject heavy corruption."""
+    """Linearly interpolate NaN runs per channel; reject heavy corruption.
+
+    A track with no missing value is returned as it is."""
+    finite = np.isfinite(channels)
+    if finite.all():
+        return channels, 0
     out = channels.copy()
-    n = out.shape[0]
     repairs = 0
     for j in range(out.shape[1]):
-        bad = ~np.isfinite(out[:, j])
+        bad = ~finite[:, j]
         if not bad.any():
             continue
         frac = bad.mean()
@@ -102,7 +106,7 @@ def _repair_nans(channels: np.ndarray, utt: str) -> tuple[np.ndarray, int]:
             raise EmaError(f"{utt}: channel {CHANNELS[j]} entirely NaN")
         out[bad, j] = np.interp(np.flatnonzero(bad), good, out[good, j])
         repairs += int(bad.sum())
-    if n and not np.all(np.isfinite(out)):
+    if not np.all(np.isfinite(out)):
         raise EmaError(f"{utt}: NaN repair failed")
     return out, repairs
 
@@ -152,14 +156,14 @@ def load_est_track(path) -> EmaRecord:
     if n_frames < 0 or len(raw) - offset < 4 * n_frames * width:
         raise EmaError(f"{path}: truncated frame data")
     data = np.frombuffer(raw, dtype="<f4", count=n_frames * width, offset=offset)
-    data = data.reshape(n_frames, width).astype(float)
+    data = data.reshape(n_frames, width)
     if rate is None:
-        dt = np.median(np.diff(data[:, 0])) if n_frames > 1 else 0.0
+        dt = np.median(np.diff(data[:, 0].astype(float))) if n_frames > 1 else 0.0
         if not dt > 0:
             raise EmaError(f"{path}: cannot infer sample rate")
         rate = int(round(1.0 / dt))
     cols = [names.index(c) + 2 for c in CHANNELS]
-    channels, repairs = _repair_nans(data[:, cols], path.stem)
+    channels, repairs = _repair_nans(data[:, cols].astype(float), path.stem)
     return EmaRecord(path.stem, rate, channels, repairs)
 
 
@@ -230,25 +234,46 @@ def load_ema(path) -> EmaRecord:
 
 
 @cache
-def _lowpass() -> tuple[np.ndarray, np.ndarray]:
-    """``(b, a)`` of the 50 Hz Butterworth low-pass at 500 Hz, designed once."""
-    return butter(FILTER_ORDER, CUTOFF_HZ, btype="low", fs=500)
+def _lowpass() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(b, a, zi)`` of the 50 Hz Butterworth low-pass at 500 Hz, designed
+    once: ``zi`` is the state of its unit step response, as a column."""
+    b, a = butter(FILTER_ORDER, CUTOFF_HZ, btype="low", fs=500)
+    return b, a, lfilter_zi(b, a)[:, None]
+
+
+# Samples of odd extension at each end, scipy's ``filtfilt`` default
+# (3 * the filter's 6 taps); a track needs more samples than this.
+PADLEN = 3 * (FILTER_ORDER + 1)
 
 
 def filter_and_downsample(rec: EmaRecord) -> EmaRecord:
     """Zero-phase 50 Hz low-pass, then decimation from 500 Hz to 100 Hz.
 
+    The forward-backward pass is the one ``scipy.signal.filtfilt`` makes
+    with its defaults: odd extension by PADLEN samples at each end, and each
+    pass started from the step-response state scaled by its first sample.
     Channel means are removed before filtering and restored afterwards so
     constant signals pass through bit-exactly.
     """
     if rec.sample_rate != 500:
         raise EmaError(f"{rec.utterance_id}: expected 500 Hz input, got {rec.sample_rate}")
-    b, a = _lowpass()
+    n = rec.channels.shape[0]
+    if n <= PADLEN:
+        raise EmaError(f"{rec.utterance_id}: {n} samples at 500 Hz; the zero-phase "
+                       f"filter needs more than {PADLEN}")
+    b, a, zi = _lowpass()
     means = rec.channels.mean(axis=0, keepdims=True)
-    filtered = filtfilt(b, a, rec.channels - means, axis=0) + means
-    n_out = rec.channels.shape[0] // DECIMATION
-    down = filtered[: n_out * DECIMATION : DECIMATION]
-    return EmaRecord(rec.utterance_id, rec.sample_rate // DECIMATION, down, rec.nan_repairs)
+    x = rec.channels - means
+    ext = np.concatenate((2 * x[:1] - x[PADLEN:0:-1], x,
+                          2 * x[-1:] - x[-2:-PADLEN - 2:-1]))
+    y, _ = lfilter(b, a, ext, axis=0, zi=zi * ext[:1])
+    y, _ = lfilter(b, a, y[::-1], axis=0, zi=zi * y[-1:])
+    # y runs backwards.  Keep every DECIMATION-th sample of the unpadded span;
+    # adding the means makes a new array, so the record does not pin all of y.
+    n_out = n // DECIMATION
+    filtered = y[::-1][PADLEN:-PADLEN][: n_out * DECIMATION : DECIMATION]
+    return EmaRecord(rec.utterance_id, rec.sample_rate // DECIMATION, filtered + means,
+                     rec.nan_repairs)
 
 
 def _first_axis(xy: np.ndarray) -> np.ndarray:

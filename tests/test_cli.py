@@ -12,7 +12,7 @@ from conftest import synthetic_config
 from phonotraj.cli import (ConfigError, ExperimentConfig, generate_synthetic,
                            grid_search, make_splits, prepare_speaker,
                            resolve_table, run_experiment)
-from phonotraj.ema import load_est_track, write_csv
+from phonotraj.ema import EmaRecord, load_est_track, write_csv, write_est_track
 from phonotraj.optimize import DivergenceError, OptimConfig, optimize_targets
 from phonotraj.probe import ProbeModel, score
 
@@ -386,6 +386,35 @@ def test_grid_requires_optimization(tiny_root, tmp_path):
                            out_dir=str(tmp_path / "g"))
     with pytest.raises(ConfigError):
         grid_search(cli.Run(cfg))
+
+
+@pytest.mark.parametrize("command", ["grid", "optimize"])
+def test_grid_without_optimization_fails_before_hashing_inputs(tiny_root, tmp_path,
+                                                               monkeypatch, capsys, command):
+    cfg = synthetic_config(tiny_root, utterances=14, speakers=1,
+                           out_dir=str(tmp_path / "g"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg.to_json(), encoding="utf-8")
+
+    def hashing(*args):
+        raise AssertionError("input files hashed")
+
+    monkeypatch.setattr(cli, "_speaker_input_hash", hashing)
+    assert cli.main([command, "--config", str(cfg_path)]) == 1
+    assert "grid search requires optimization to be enabled" in capsys.readouterr().err
+
+
+def test_short_500hz_track_fails_cleanly(tmp_path, capsys):
+    root = tmp_path / "data"
+    generate_synthetic(root, speakers=1, utterances=14, dim=4, seed=2)
+    track = root / "spk00" / "spk00_003.ema"
+    write_est_track(track, EmaRecord("spk00_003", 500, np.zeros((18, 12))))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(synthetic_config(root, utterances=14, speakers=1,
+                                         out_dir=str(tmp_path / "out")).to_json(),
+                        encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    assert "spk00_003: 18 samples at 500 Hz" in capsys.readouterr().err
 
 
 def test_run_experiment_with_optimization(tiny_root, tmp_path):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from scipy.signal import butter, filtfilt
 
+from phonotraj import ema
 from phonotraj.alignment import FeaturalSegmentation
 from phonotraj.ema import (CHANNELS, PARAMETERS, ArticulatorySeries, EmaError,
                            EmaRecord, align_frames, filter_and_downsample,
@@ -157,6 +159,15 @@ def test_nan_repair_and_limit(tmp_path):
         load_csv(csv)
 
 
+def test_clean_track_loads_unchanged_with_no_repairs(tmp_path):
+    rec = make_record(n=300)
+    path = tmp_path / "u.ema"
+    write_est_track(path, rec)
+    back = load_est_track(path)
+    assert back.nan_repairs == 0
+    assert np.array_equal(back.channels, rec.channels.astype("<f4").astype(float))
+
+
 # ---------------------------------------------------------------------------
 # filtering and decimation
 # ---------------------------------------------------------------------------
@@ -172,6 +183,64 @@ def test_filter_output_rate_and_length():
     out = filter_and_downsample(rec)
     assert out.sample_rate == 100
     assert out.channels.shape[0] == 2503 // 5
+
+
+def filtfilt_reference(ch):
+    """scipy's filtfilt with its defaults around the channel means, decimated."""
+    b, a = butter(5, 50.0, btype="low", fs=500)
+    means = ch.mean(axis=0, keepdims=True)
+    return (filtfilt(b, a, ch - means, axis=0) + means)[: len(ch) // 5 * 5 : 5]
+
+
+@pytest.mark.parametrize("n", [19, 20, 37, 1572])
+def test_filter_equals_scipy_filtfilt(n):
+    ch = make_record(n=n, seed=n).channels
+    ch[:, 7] = 2.5  # a constant channel
+    out = filter_and_downsample(EmaRecord("u", 500, ch))
+    assert np.array_equal(out.channels, filtfilt_reference(ch))
+
+
+def test_filter_equals_scipy_filtfilt_on_a_repaired_track(tmp_path):
+    ch = make_record(n=1000, seed=3).channels
+    ch[200:230, 2] = np.nan
+    path = tmp_path / "u.ema"
+    write_est_track(path, EmaRecord("u", 500, ch))
+    rec = load_est_track(path)
+    assert rec.nan_repairs == 30
+    out = filter_and_downsample(rec)
+    assert out.nan_repairs == 30
+    assert np.array_equal(out.channels, filtfilt_reference(rec.channels))
+
+
+def test_decimated_record_owns_its_frames():
+    # a view would keep the whole 500 Hz filtered array alive with the record
+    out = filter_and_downsample(make_record(n=2500))
+    assert out.channels.base is None
+
+
+def test_filter_state_designed_once(monkeypatch):
+    calls = []
+    real = ema.lfilter_zi
+
+    def counting(b, a):
+        calls.append(1)
+        return real(b, a)
+
+    monkeypatch.setattr(ema, "lfilter_zi", counting)
+    ema._lowpass.cache_clear()
+    try:
+        for seed in range(3):
+            filter_and_downsample(make_record(n=500, seed=seed))
+    finally:
+        ema._lowpass.cache_clear()
+    assert len(calls) == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [0, 18])
+def test_short_track_rejected(n):
+    with pytest.raises(EmaError, match=rf"short_utt: {n} samples at 500 Hz.*more than 18"):
+        filter_and_downsample(make_record(n=n, utt="short_utt"))
 
 
 def test_constant_channel_is_preserved_exactly():
