@@ -20,6 +20,7 @@ import logging
 import pickle
 import sys
 import time
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -207,12 +208,18 @@ def discover_utterances(root: Path, speaker: str) -> list[tuple[str, Path, Path]
     return out
 
 
-def _hash_bytes(*chunks: bytes) -> str:
+def _hash_stream(chunks: Iterable[bytes]) -> str:
+    """SHA-256 of the chunks, each after its 8-byte length.  Chunks are taken
+    one at a time, so a generator of file contents holds one file at once."""
     h = hashlib.sha256()
     for c in chunks:
         h.update(len(c).to_bytes(8, "little"))
         h.update(c)
     return h.hexdigest()
+
+
+def _hash_bytes(*chunks: bytes) -> str:
+    return _hash_stream(chunks)
 
 
 def _hash_obj(obj) -> str:
@@ -342,27 +349,31 @@ def _source_digest() -> str:
     """Digest of the package's own code and data files, read once per process."""
     pkg = Path(__file__).resolve().parent
     files = sorted(pkg.glob("*.py")) + sorted(pkg.glob("data/*"))
-    return _hash_bytes(*(part for p in files
-                         for part in (p.relative_to(pkg).as_posix().encode(), p.read_bytes())))
+    return _hash_stream(part for p in files
+                        for part in (p.relative_to(pkg).as_posix().encode(), p.read_bytes()))
 
 
 def _speaker_input_hash(cfg: ExperimentConfig, table_digest: str, speaker: str) -> str:
     """Digest of everything that decides a speaker's prepared data: its input
     files, the feature table's contents, the split config and the package
     source."""
-    root = Path(cfg.dataset_root)
-    pieces = []
-    for utt, ema_path, align_path in discover_utterances(root, speaker):
-        pieces.append(utt.encode())
-        pieces.append(ema_path.read_bytes())
-        pieces.append(align_path.read_bytes())
+    utterances = discover_utterances(Path(cfg.dataset_root), speaker)
     cfg_slice = {
         "feature_set": cfg.feature_set,
         "feature_table": table_digest,
         "split_sizes": cfg.split_sizes,
         "seed": cfg.seed,
     }
-    return _hash_bytes(_source_digest().encode(), _hash_obj(cfg_slice).encode(), *pieces)
+
+    def chunks():
+        yield _source_digest().encode()
+        yield _hash_obj(cfg_slice).encode()
+        for utt, ema_path, align_path in utterances:  # each file read as it is hashed
+            yield utt.encode()
+            yield ema_path.read_bytes()
+            yield align_path.read_bytes()
+
+    return _hash_stream(chunks())
 
 
 class Run:

@@ -15,15 +15,24 @@ jaw-first linear decomposition:
 
 Every axis is oriented so its largest-magnitude loading is positive, and
 parameters are z-scored with training-partition statistics.
+
+The filter gives scipy's ``filtfilt`` result bit for bit without importing
+``scipy.signal``, whose package import costs every process about a second:
+the Butterworth coefficients are designed in numpy by the calls
+``scipy.signal.butter`` makes, and both passes run scipy's compiled
+recursion, loaded from its extension file (``_load_linear_filter``).
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import butter, lfilter, lfilter_zi
+import scipy
+from scipy.linalg import companion
 
 from .alignment import FeaturalSegmentation
 from .forward import frame_count
@@ -233,12 +242,67 @@ def load_ema(path) -> EmaRecord:
     return reader(path)
 
 
+def _butterworth(order: int, cutoff: float, fs: float) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.signal.butter(order, cutoff, fs=fs)``, a digital low-pass as
+    ``(b, a)``, made by the numpy calls scipy makes, in its order: the same
+    ufuncs round the same way on any CPU, so the coefficients are bit-equal."""
+    m = np.arange(-order + 1, order, 2, dtype=np.float64)
+    p = -np.exp(1j * np.pi * m / (2 * order))  # analog prototype poles (buttap)
+    wo = float(4.0 * np.tan(np.pi * (cutoff / (fs / 2)) / 2.0))  # pre-warped cutoff
+    p = wo * p  # lp2lp_zpk; the gain becomes wo**order
+    # bilinear_zpk at fs = 2: every zero goes to -1, each pole s to (4 + s) / (4 - s)
+    k = wo**order * np.real(1.0 / np.prod(4.0 - p))
+    return k * _poly(-np.ones(order)), np.real(_poly((4.0 + p) / (4.0 - p))).copy()
+
+
+def _poly(roots: np.ndarray) -> np.ndarray:
+    """Coefficients of the monic polynomial with these roots, by ``np.convolve``."""
+    c = np.ones(1, dtype=roots.dtype)
+    for r in roots:
+        c = np.convolve(c, [1, -r])
+    return c
+
+
 @cache
 def _lowpass() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(b, a, zi)`` of the 50 Hz Butterworth low-pass at 500 Hz, designed
-    once: ``zi`` is the state of its unit step response, as a column."""
-    b, a = butter(FILTER_ORDER, CUTOFF_HZ, btype="low", fs=500)
-    return b, a, lfilter_zi(b, a)[:, None]
+    once: ``zi`` is the state of its unit step response, as a column, solved
+    as ``scipy.signal.lfilter_zi`` solves it."""
+    b, a = _butterworth(FILTER_ORDER, CUTOFF_HZ, 500.0)
+    zi = np.linalg.solve(np.eye(len(a) - 1) - companion(a).T, b[1:] - a[1:] * b[0])
+    return b, a, zi[:, None]
+
+
+def _sigtools_path() -> Path | None:
+    """scipy's compiled ``scipy/signal/_sigtools`` extension, if it is there."""
+    signal_dir = Path(scipy.__file__).parent / "signal"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if (path := signal_dir / f"_sigtools{suffix}").is_file():
+            return path
+    return None
+
+
+def _load_linear_filter():
+    """The direct-form II recursion ``lfilter(b, a, x, axis, zi)``.
+
+    It is ``_linear_filter`` from scipy's compiled ``_sigtools``, the function
+    ``scipy.signal.lfilter`` calls for a recursive filter, loaded from its file
+    so that ``scipy/signal/__init__.py`` never runs: that package imports
+    scipy.stats, scipy.interpolate and the window functions, about a second
+    and 47 MB for every process.  Where the file is not found, it is
+    ``scipy.signal.lfilter``, which takes the same arguments and computes the
+    same result."""
+    path = _sigtools_path()
+    if path is None:
+        from scipy.signal import lfilter
+        return lfilter
+    spec = importlib.util.spec_from_file_location("scipy.signal._sigtools", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._linear_filter
+
+
+_linear_filter = _load_linear_filter()
 
 
 # Samples of odd extension at each end, scipy's ``filtfilt`` default
@@ -252,6 +316,9 @@ def filter_and_downsample(rec: EmaRecord) -> EmaRecord:
     The forward-backward pass is the one ``scipy.signal.filtfilt`` makes
     with its defaults: odd extension by PADLEN samples at each end, and each
     pass started from the step-response state scaled by its first sample.
+    The coefficients and that state come from ``_lowpass``, a numpy replica
+    of ``butter`` and ``lfilter_zi``; each pass is the compiled recursion
+    ``lfilter`` itself runs, so the output equals ``filtfilt``'s exactly.
     Channel means are removed before filtering and restored afterwards so
     constant signals pass through bit-exactly.
     """
@@ -266,8 +333,8 @@ def filter_and_downsample(rec: EmaRecord) -> EmaRecord:
     x = rec.channels - means
     ext = np.concatenate((2 * x[:1] - x[PADLEN:0:-1], x,
                           2 * x[-1:] - x[-2:-PADLEN - 2:-1]))
-    y, _ = lfilter(b, a, ext, axis=0, zi=zi * ext[:1])
-    y, _ = lfilter(b, a, y[::-1], axis=0, zi=zi * y[-1:])
+    y, _ = _linear_filter(b, a, ext, 0, zi * ext[:1])
+    y, _ = _linear_filter(b, a, y[::-1], 0, zi * y[-1:])
     # y runs backwards.  Keep every DECIMATION-th sample of the unpadded span;
     # adding the means makes a new array, so the record does not pin all of y.
     n_out = n // DECIMATION

@@ -146,9 +146,13 @@ def train_probe(train: list[Pair], dev: list[Pair]) -> ProbeModel:
         if np.ptp(pooled_targets[:, j]) == 0:
             log.warning("training parameter %s is constant; fit is degenerate",
                         PARAMETERS[j] if j < len(PARAMETERS) else j)
-    stats = [_statistics(F, Z) for F, Z in cached_train]
-    G = sum(g for g, _ in stats)
-    C = sum(c for _, c in stats)
+    # Summed as they are made, in utterance order: one G and one C held at a time.
+    G = np.zeros((d + 1, d + 1))
+    C = np.zeros((n_params, d + 1))
+    for F, Z in cached_train:
+        g, c = _statistics(F, Z)
+        G += g
+        C += c
     # A feature that is 0 on every training frame has a zero row and column in
     # G and a zero column in C: the minimum-norm solution gives it weight 0.
     live = np.flatnonzero(np.diag(G))

@@ -404,6 +404,18 @@ def test_grid_without_optimization_fails_before_hashing_inputs(tiny_root, tmp_pa
     assert "grid search requires optimization to be enabled" in capsys.readouterr().err
 
 
+def test_streamed_input_digest_equals_digest_of_all_files(tiny_root):
+    cfg = synthetic_config(tiny_root, utterances=14, speakers=1)
+    pieces = []
+    for utt, ema_path, align_path in cli.discover_utterances(tiny_root, "spk00"):
+        pieces += [utt.encode(), ema_path.read_bytes(), align_path.read_bytes()]
+    cfg_slice = {"feature_set": cfg.feature_set, "feature_table": "t",
+                 "split_sizes": cfg.split_sizes, "seed": cfg.seed}
+    expected = cli._hash_bytes(cli._source_digest().encode(),
+                               cli._hash_obj(cfg_slice).encode(), *pieces)
+    assert cli._speaker_input_hash(cfg, "t", "spk00") == expected
+
+
 def test_short_500hz_track_fails_cleanly(tmp_path, capsys):
     root = tmp_path / "data"
     generate_synthetic(root, speakers=1, utterances=14, dim=4, seed=2)

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
-from scipy.signal import butter, filtfilt
+from scipy.signal import butter, filtfilt, lfilter, lfilter_zi
 
 from phonotraj import ema
 from phonotraj.alignment import FeaturalSegmentation
@@ -220,13 +225,13 @@ def test_decimated_record_owns_its_frames():
 
 def test_filter_state_designed_once(monkeypatch):
     calls = []
-    real = ema.lfilter_zi
+    real = ema._butterworth
 
-    def counting(b, a):
+    def counting(*args):
         calls.append(1)
-        return real(b, a)
+        return real(*args)
 
-    monkeypatch.setattr(ema, "lfilter_zi", counting)
+    monkeypatch.setattr(ema, "_butterworth", counting)
     ema._lowpass.cache_clear()
     try:
         for seed in range(3):
@@ -234,6 +239,30 @@ def test_filter_state_designed_once(monkeypatch):
     finally:
         ema._lowpass.cache_clear()
     assert len(calls) == 1
+
+
+def test_lowpass_design_equals_scipy():
+    b, a, zi = ema._lowpass()
+    B, A = butter(5, 50.0, btype="low", fs=500)
+    assert np.array_equal(b, B) and np.array_equal(a, A)
+    assert np.array_equal(zi, lfilter_zi(B, A)[:, None])
+
+
+def test_import_leaves_scipy_signal_out():
+    src = Path(ema.__file__).resolve().parents[1]
+    code = "import sys, phonotraj.cli; assert 'scipy.signal' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def test_filter_without_the_compiled_extension_falls_back_to_lfilter(monkeypatch):
+    rec = make_record(n=1572, seed=5)
+    expected = filter_and_downsample(rec).channels
+    monkeypatch.setattr(ema, "_sigtools_path", lambda: None)
+    fallback = ema._load_linear_filter()
+    assert fallback is lfilter
+    monkeypatch.setattr(ema, "_linear_filter", fallback)
+    assert np.array_equal(filter_and_downsample(rec).channels, expected)
 
 
 @pytest.mark.filterwarnings("error")
