@@ -11,8 +11,7 @@ from .forward import (DimensionNodes, InterpMethod, Trajectory, interpolate,
 from .optimize import OptimConfig, OptimizedTargets, objective, optimize_targets
 from .phonology import (ApCategoryScale, FeatureTable, encode_target,
                         enrich_with_phonemes, get_table, load_feature_table)
-from .probe import (AdamState, ProbeModel, ScoreReport, adam_step, aggregate,
-                    pearson, score, train_probe)
+from .probe import ProbeModel, ScoreReport, aggregate, pearson, score, train_probe
 
 __all__ = [
     "__version__",
@@ -25,6 +24,5 @@ __all__ = [
     "OptimConfig", "OptimizedTargets", "objective", "optimize_targets",
     "ApCategoryScale", "FeatureTable", "encode_target", "enrich_with_phonemes",
     "get_table", "load_feature_table",
-    "AdamState", "ProbeModel", "ScoreReport", "adam_step", "aggregate",
-    "pearson", "score", "train_probe",
+    "ProbeModel", "ScoreReport", "aggregate", "pearson", "score", "train_probe",
 ]

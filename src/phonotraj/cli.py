@@ -34,8 +34,7 @@ from .ema import (CHANNELS, EMA_READERS, ArticulatorySeries, EmaError, EmaRecord
                   align_frames, filter_and_downsample, fit_guided_pca,
                   load_ema, project, write_est_track)
 from .forward import ForwardError, InterpMethod, Trajectory, synthesize, synthesize_targets
-from .optimize import (DivergenceError, OptimConfig, OptimizeError, grid_configs,
-                       optimize_targets)
+from .optimize import OptimConfig, OptimizeError, grid_configs, optimize_targets
 from .phonology import (FeatureTable, FeatureTableError, enrich_with_phonemes,
                         get_table, load_feature_table)
 from .probe import ProbeError, ScoreReport, aggregate, score, train_probe
@@ -74,11 +73,18 @@ class ExperimentConfig:
     frame_rate = 100.0  # Hz, the rate of the EMA frames; a class constant, not a field
 
     def __post_init__(self):
+        for name in ("dataset_root", "feature_set", "method", "out_dir", "feature_table_path"):
+            value = getattr(self, name)
+            if not (isinstance(value, str) or (value is None and name == "feature_table_path")):
+                raise ConfigError(f"{name} must be a string, got {value!r}")
         if not (isinstance(self.speakers, (list, tuple))
                 and all(isinstance(s, str) for s in self.speakers)):
             raise ConfigError(f"speakers must be a list of names, got {self.speakers!r}")
         if not self.speakers:
             raise ConfigError("config lists no speakers")
+        repeated = sorted({s for s in self.speakers if self.speakers.count(s) > 1})
+        if repeated:
+            raise ConfigError(f"speakers listed more than once: {', '.join(repeated)}")
         if not (isinstance(self.split_sizes, (list, tuple)) and len(self.split_sizes) == 3
                 and all(_is_int(s) for s in self.split_sizes)):
             raise ConfigError(f"split_sizes must be three integers, got {self.split_sizes!r}")
@@ -88,16 +94,19 @@ class ExperimentConfig:
             if not isinstance(getattr(self, name), bool):
                 raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
         for name in ("max_steps", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.max_steps < 0:
-            raise ConfigError(f"max_steps must be non-negative, got {self.max_steps}")
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if value < 0:
+                raise ConfigError(f"{name} must be non-negative, got {value}")
         try:
             OptimConfig(min_gap=self.min_gap)
         except OptimizeError as exc:
             raise ConfigError(f"min_gap = {self.min_gap!r}: {exc}") from exc
         if not self.interp_method.is_cubic and self.wants_optimization:  # validates method
             raise ConfigError("target optimization requires a cubic interpolation method")
+        if not isinstance(self.grid, (dict, type(None))):
+            raise ConfigError(f"grid must be an object of axis lists, got {self.grid!r}")
         unknown = set(self.grid or {}) - set(GRID_AXES)
         if unknown:
             raise ConfigError(f"unknown grid axes {sorted(unknown)}; "
@@ -127,6 +136,8 @@ class ExperimentConfig:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config {path} is not a JSON object")
         known = set(cls.__dataclass_fields__)
         unknown = set(raw) - known
         if unknown:
@@ -442,8 +453,8 @@ class Run:
 def _speaker_pairs(data: SpeakerData, cfg: ExperimentConfig, optim: OptimConfig | None,
                    parts=("train", "dev", "test"), steps: list | None = None) -> dict:
     """(trajectory, measured series) pairs of each split in ``parts``.  With
-    ``optim`` the targets are optimized first, and the steps of each best
-    iterate are appended to ``steps``."""
+    ``optim`` the targets are optimized first, and each utterance's number of
+    kept descent steps is appended to ``steps``."""
     method = cfg.interp_method
     pairs = {}
     for which in parts:
@@ -453,10 +464,10 @@ def _speaker_pairs(data: SpeakerData, cfg: ExperimentConfig, optim: OptimConfig 
             if optim is None:
                 traj = synthesize(fseg, method, cfg.frame_rate)
             else:
-                best = optimize_targets(fseg, method, optim)
+                opt = optimize_targets(fseg, method, optim)
                 if steps is not None:
-                    steps.append(best.steps)
-                traj = synthesize_targets(fseg.utterance_id, best.t, best.X, method,
+                    steps.append(opt.steps)
+                traj = synthesize_targets(fseg.utterance_id, opt.t, opt.X, method,
                                           cfg.frame_rate)
             pairs[which].append((traj, data.series[u]))
     return pairs
@@ -465,8 +476,8 @@ def _speaker_pairs(data: SpeakerData, cfg: ExperimentConfig, optim: OptimConfig 
 def _speaker_score(
     data: SpeakerData, cfg: ExperimentConfig, optim: OptimConfig | None, eval_part: str
 ) -> tuple[np.ndarray, list[int]]:
-    """Pearson row on ``eval_part`` of the probe fitted on train, and the steps
-    of each optimized utterance's best iterate.  Only train, dev and
+    """Pearson row on ``eval_part`` of the probe fitted on train, and the kept
+    descent steps of each optimized utterance.  Only train, dev and
     ``eval_part`` are synthesized."""
     steps: list[int] = []
     parts = dict.fromkeys(("train", "dev", eval_part))  # ordered, without a repeat
@@ -477,21 +488,14 @@ def _speaker_score(
 def _grid_point(cfg: ExperimentConfig, data: list[SpeakerData],
                 oc: OptimConfig) -> tuple[dict, dict]:
     """One grid point's row of grid.json and its manifest fields, which add
-    the number of utterances optimized and of those whose best iterate moved
-    from the start (``improved``)."""
-    row = {"timing_lr": oc.timing_lr, "position_lr": oc.position_lr, "lambda": oc.lam}
-    counts = {"optimized": None, "improved": None}
-    try:
-        results = [_speaker_score(d, cfg, oc, "dev") for d in data]
-    except DivergenceError as exc:
-        row.update(dev_score=None, error=str(exc))
-    else:
-        row["dev_score"] = aggregate(np.vstack([r for r, _ in results]),
-                                     tuple(cfg.speakers)).grand
-        steps = [n for _, point_steps in results for n in point_steps]
-        counts = {"optimized": len(steps), "improved": sum(n > 0 for n in steps)}
+    the number of utterances optimized and of those that kept a step
+    (``improved``)."""
+    results = [_speaker_score(d, cfg, oc, "dev") for d in data]
+    row = {"timing_lr": oc.timing_lr, "position_lr": oc.position_lr, "lambda": oc.lam,
+           "dev_score": aggregate(np.vstack([r for r, _ in results]), tuple(cfg.speakers)).grand}
+    steps = [n for _, point_steps in results for n in point_steps]
     fields = {("lam" if k == "lambda" else k): v for k, v in row.items()}
-    return row, {**fields, **counts}
+    return row, {**fields, "optimized": len(steps), "improved": sum(n > 0 for n in steps)}
 
 
 def grid_search(run: Run) -> tuple[OptimConfig, list[dict]]:
@@ -500,10 +504,10 @@ def grid_search(run: Run) -> tuple[OptimConfig, list[dict]]:
 
     Returns the best configuration (dev articulatory score argmax; ties fall
     to the smallest lambda, then the smallest learning rates through the
-    deterministic grid order) and the per-point score table.  A point whose
-    optimization diverges is recorded as failed, with no dev score and the
-    error, and left out of the argmax.  Each point is a cached stage of
-    ``run``, diverged points included.
+    deterministic grid order) and the per-point score table.  The descent
+    keeps only steps that lower the objective, so a point whose rate
+    overshoots keeps its input targets and still has a dev score.  Each point
+    is a cached stage of ``run``.
     """
     cfg = run.cfg
     if not cfg.wants_optimization:
@@ -520,10 +524,7 @@ def grid_search(run: Run) -> tuple[OptimConfig, list[dict]]:
                       lambda oc=oc: _grid_point(cfg, data, oc),
                       describe=lambda point: point[1])[0]
             for oc in configs]
-    ok = [i for i, r in enumerate(rows) if r["dev_score"] is not None]
-    if not ok:
-        raise ConfigError(f"every grid point failed; the first: {rows[0]['error']}")
-    best = configs[ok[int(np.argmax([rows[i]["dev_score"] for i in ok]))]]
+    best = configs[int(np.argmax([r["dev_score"] for r in rows]))]
     (run.out / "grid.json").write_text(
         json.dumps({"best": asdict(best), "points": rows}, indent=2, sort_keys=True),
         encoding="utf-8")
@@ -539,7 +540,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[ScoreReport, RunManifest]:
         optim, _ = grid_search(run)
     rows = [run.stage(f"score/{d.speaker}", run.key("score", [d.speaker], optim),
                       lambda d=d: _speaker_score(d, cfg, optim, "test")[0],
-                      (ForwardError, OptimizeError, DivergenceError, ProbeError))
+                      (ForwardError, OptimizeError, ProbeError))
             for d in data]
     report = aggregate(np.vstack(rows), tuple(cfg.speakers))
     (run.out / "report.csv").write_text(report.to_csv(), encoding="utf-8")

@@ -13,7 +13,7 @@ from phonotraj.cli import (ConfigError, ExperimentConfig, generate_synthetic,
                            grid_search, make_splits, prepare_speaker,
                            resolve_table, run_experiment)
 from phonotraj.ema import EmaRecord, load_est_track, write_csv, write_est_track
-from phonotraj.optimize import DivergenceError, OptimConfig, optimize_targets
+from phonotraj.optimize import OptimConfig, OptimizeError, optimize_targets
 from phonotraj.probe import ProbeModel, score
 
 
@@ -155,13 +155,23 @@ def test_optimization_with_a_non_cubic_method_rejected_up_front(tmp_path, monkey
     ("speakers", ["spk00", 1], "speakers must be a list of names"),
     ("optimize_timing", "yes", "optimize_timing must be true or false"),
     ("optimize_position", 1, "optimize_position must be true or false"),
+    ("seed", -1, "seed must be non-negative"),
+    ("speakers", ["spk00", "spk00"], "speakers listed more than once: spk00"),
+    ("grid", ["lambdas"], "grid must be an object"),
+    ("dataset_root", 5, "dataset_root must be a string"),
+    ("feature_set", 73, "feature_set must be a string"),
+    ("method", ["cubic_hermite"], "method must be a string"),
+    ("out_dir", None, "out_dir must be a string"),
+    ("feature_table_path", 1, "feature_table_path must be a string"),
 ])
 def test_config_rejects_unusable_optimizer_settings_up_front(tmp_path, monkeypatch, capsys,
                                                              field, value, message):
     # "max_steps": 2.5 and "seed": "x" used to exit 2 as runtime failures,
     # "min_gap": 0 and "split_sizes": [10.0, 2.0, 2.0] failed only after every
     # input file had been read, "speakers": "spk00" named five one-letter
-    # speakers and "optimize_timing": "yes" passed as true.
+    # speakers and "optimize_timing": "yes" passed as true.  "seed": -1, a
+    # list for "grid" and a non-string path or name exited 2, and a repeated
+    # speaker was counted twice in the report.
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig(**{"dataset_root": "/d", "speakers": ("a",), field: value})
     monkeypatch.setattr(cli, "prepare_speaker", lambda *a: pytest.fail("prepared a speaker"))
@@ -171,6 +181,16 @@ def test_config_rejects_unusable_optimizer_settings_up_front(tmp_path, monkeypat
                                 field: value}), encoding="utf-8")
     assert cli.main(["run", "--config", str(path)]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["5", "[]", '"cfg"', "null"])
+def test_config_file_must_hold_a_json_object(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match="is not a JSON object"):
+        ExperimentConfig.from_file(path)
+    assert cli.main(["run", "--config", str(path)]) == 1
+    assert "is not a JSON object" in capsys.readouterr().err
 
 
 def test_config_naming_jobs_rejected(tmp_path):
@@ -346,21 +366,20 @@ def test_grid_eval_records_each_points_own_time(tiny_root, tmp_path, monkeypatch
     assert seconds[1e4] >= 0.5 > max(seconds[0.0], seconds[1e3])
 
 
-def test_grid_records_diverged_point_as_failed(tiny_root, tmp_path):
+def test_grid_point_with_an_overshooting_rate_keeps_its_input(tiny_root, tmp_path):
     cfg = small_grid_cfg(tiny_root, tmp_path, timing_lrs=[1e-5],
                          position_lrs=[1e-2, 1e150], lambdas=[0.0])
     cfg_path = tmp_path / "grid.json"
     cfg_path.write_text(cfg.to_json(), encoding="utf-8")
     assert cli.main(["run", "--config", str(cfg_path)]) == 0
     grid = json.loads((Path(cfg.out_dir) / "grid.json").read_text())
-    finite, diverged = grid["points"]
-    assert np.isfinite(finite["dev_score"]) and "error" not in finite
-    assert diverged["dev_score"] is None and "diverged" in diverged["error"]
-    assert grid["best"]["position_lr"] == 1e-2
+    assert all(set(p) == {"timing_lr", "position_lr", "lambda", "dev_score"}
+               and np.isfinite(p["dev_score"]) for p in grid["points"])
+    assert set(grid["best"]) == set(OptimConfig.__dataclass_fields__)
     manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
     evals = [s for s in manifest["stages"] if s["stage"] == "grid-eval"]
-    assert [s["dev_score"] is None for s in evals] == [False, True]
-    assert evals[1]["error"] == diverged["error"]
+    assert [s["position_lr"] for s in evals] == [1e-2, 1e150]
+    assert evals[1]["improved"] == 0 and evals[1]["optimized"] > 0
 
 
 def test_grid_command_writes_the_manifest(tiny_root, tmp_path):
@@ -374,11 +393,14 @@ def test_grid_command_writes_the_manifest(tiny_root, tmp_path):
     assert [s["lam"] for s in manifest["stages"][1:]] == [0.0, 1e3]
 
 
-def test_grid_fails_when_every_point_diverges(tiny_root, tmp_path):
+def test_grid_of_only_overshooting_rates_scores_every_point(tiny_root, tmp_path):
     cfg = small_grid_cfg(tiny_root, tmp_path, timing_lrs=[1e-5],
-                         position_lrs=[1e150], lambdas=[0.0])
-    with pytest.raises(ConfigError, match="every grid point failed"):
-        grid_search(cli.Run(cfg))
+                         position_lrs=[1e150, 1e308], lambdas=[0.0, 1e3])
+    best, rows = grid_search(cli.Run(cfg))
+    assert len(rows) == 4 and all(np.isfinite(r["dev_score"]) for r in rows)
+    # every point keeps the input targets, so the first point wins the tie
+    assert len({r["dev_score"] for r in rows}) == 1
+    assert (best.position_lr, best.lam) == (1e150, 0.0)
 
 
 def test_grid_requires_optimization(tiny_root, tmp_path):
@@ -443,19 +465,19 @@ def test_run_experiment_with_optimization(tiny_root, tmp_path):
 
 
 def test_grid_points_never_optimize_the_test_split(tiny_root, tmp_path, monkeypatch, capsys):
-    # A test utterance that diverges used to knock every grid point out of
-    # model selection; only the score stage may touch the test split.
+    # A test utterance that fails to optimize used to knock every grid point
+    # out of model selection; only the score stage may touch the test split.
     cfg = small_grid_cfg(tiny_root, tmp_path, timing_lrs=[1e-5], position_lrs=[1e-2],
                          lambdas=[0.0, 1e3])
     test_ids = set(prepare_speaker(cfg, resolve_table(cfg), "spk00").splits.test)
     optimize_targets = cli.optimize_targets
 
-    def diverge_on_test(fseg, method, oc):
+    def fail_on_test(fseg, method, oc):
         if fseg.utterance_id in test_ids:
-            raise DivergenceError(f"{fseg.utterance_id}: objective diverged", None)
+            raise OptimizeError(f"{fseg.utterance_id}: cannot optimize")
         return optimize_targets(fseg, method, oc)
 
-    monkeypatch.setattr(cli, "optimize_targets", diverge_on_test)
+    monkeypatch.setattr(cli, "optimize_targets", fail_on_test)
     _, rows = grid_search(cli.Run(cfg))
     assert len(rows) == 2 and all(np.isfinite(r["dev_score"]) for r in rows)
     cfg_path = tmp_path / "cfg.json"
@@ -492,7 +514,7 @@ def test_grid_eval_counts_optimized_and_improved_utterances(tiny_root, tmp_path,
 
 def test_warm_rerun_of_an_optimizing_config_is_fully_cached(tiny_root, tmp_path, monkeypatch):
     cfg = small_grid_cfg(tiny_root, tmp_path, timing_lrs=[1e-5], position_lrs=[1e-2, 1e150],
-                         lambdas=[0.0])  # the second point diverges
+                         lambdas=[0.0])  # the second point overshoots
     run_experiment(cfg)
     grid = (Path(cfg.out_dir) / "grid.json").read_bytes()
     monkeypatch.setattr(cli, "optimize_targets", lambda *a: pytest.fail("optimized"))
@@ -500,7 +522,7 @@ def test_warm_rerun_of_an_optimizing_config_is_fully_cached(tiny_root, tmp_path,
     assert len(grid_evals(cfg)) == 2
     assert manifest.stages and all(s["cached"] for s in manifest.stages)
     assert (Path(cfg.out_dir) / "grid.json").read_bytes() == grid
-    assert grid_evals(cfg)[1]["error"]
+    assert grid_evals(cfg)[1]["improved"] == 0
 
 
 def test_adding_a_lambda_recomputes_only_the_new_point(tiny_root, tmp_path):

@@ -8,10 +8,9 @@ from phonotraj import forward, optimize
 from phonotraj.alignment import FeaturalSegmentation
 from phonotraj.forward import (DimensionNodes, InterpMethod, interpolate,
                                second_derivative)
-from phonotraj.optimize import (DivergenceError, OptimConfig, OptimizeError,
-                                attainment_term, grid_configs, gradients, objective,
-                                objective_terms, optimize_targets, project_timings,
-                                smoothness_term)
+from phonotraj.optimize import (REL_TOL, OptimConfig, OptimizeError, attainment_term,
+                                grid_configs, gradients, objective, objective_terms,
+                                optimize_targets, project_timings, smoothness_term)
 
 H, N = InterpMethod.CUBIC_HERMITE, InterpMethod.NATURAL_CUBIC
 
@@ -335,7 +334,7 @@ def _golden_section(f, lo, hi, tol=1e-10):
 def test_position_descent_matches_golden_section_oracle():
     fseg = three_node_fseg(1.0)
     cfg = OptimConfig(optimize_position=True, position_lr=1e-2, lam=0.0,
-                      max_steps=100, rel_tol=0.0)
+                      max_steps=100)
     out = optimize_targets(fseg, N, cfg)
 
     def f(v):
@@ -366,25 +365,59 @@ def test_objective_never_increases_at_return():
             np.testing.assert_array_equal(out.X[-1], fseg.X[-1])
 
 
-def test_divergence_raises_with_last_finite_iterate():
+@pytest.mark.parametrize("rate", [1e150, 1e308])
+def test_overshooting_position_rate_keeps_the_input(rate):
+    # The first step overflows the objective (1e150) or a position (1e308);
+    # it is not kept, so the input comes back and nothing is raised.
     fseg = three_node_fseg(1.0)
-    cfg = OptimConfig(optimize_position=True, position_lr=1e150, lam=0.0,
-                      max_steps=50)
-    with pytest.raises(DivergenceError) as exc:
-        optimize_targets(fseg, H, cfg)
-    last = exc.value.last_iterate
-    assert np.all(np.isfinite(last.X))
-    assert np.isfinite(last.objective)
-
-
-def test_step_to_infinity_is_divergence():
-    # A natural-cubic step that overflowed a position to inf used to reach
-    # scipy's finiteness check in the moment solve: a plain ValueError, which
-    # a grid search does not record as a failed point.
     for m in (H, N):
-        with pytest.raises(DivergenceError):
-            optimize_targets(three_node_fseg(1.0), m,
-                             OptimConfig(optimize_position=True, position_lr=1e308, max_steps=5))
+        out = optimize_targets(fseg, m, OptimConfig(optimize_position=True, position_lr=rate,
+                                                    max_steps=50))
+        assert out.steps == 0
+        np.testing.assert_array_equal(out.X, fseg.X)
+        np.testing.assert_array_equal(out.t, fseg.t)
+        assert out.objective == objective(fseg.t, fseg.X, fseg.specified, fseg.X, 0.0, m)
+
+
+def _descending_prefix(fseg, m, cfg):
+    """Objectives of plain fixed-rate steps from the input, up to the first
+    that does not lower the objective by the relative margin REL_TOL."""
+    X, t = fseg.X, fseg.t
+    objs = [objective(t, X, fseg.specified, fseg.X, cfg.lam, m)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(objs) <= cfg.max_steps:
+            gX, gt = gradients(t, X, fseg.specified, fseg.X, cfg.lam, m)
+            X = X - cfg.position_lr * gX
+            t = t - cfg.timing_lr * gt
+            if not np.all(np.isfinite(t)):
+                break
+            t = project_timings(t, cfg.min_gap)
+            new = objective(t, X, fseg.specified, fseg.X, cfg.lam, m)
+            if not new < objs[-1] * (1 - REL_TOL):
+                break
+            objs.append(new)
+    return objs
+
+
+def test_steps_count_the_strictly_descending_iterates():
+    rng = np.random.default_rng(12)
+    cases = [(random_fseg(rng, k=5, d=3),
+              OptimConfig(optimize_timing=True, optimize_position=True, timing_lr=1e-8,
+                          position_lr=lr, lam=1e3, max_steps=30))
+             for lr in (1e-6, 1e-5, 1e-4, 1e-3, 1e-2)]
+    # converges until a step lowers the objective by less than REL_TOL
+    cases.append((three_node_fseg(1.0),
+                  OptimConfig(optimize_position=True, position_lr=1e-2, lam=1.0, max_steps=200)))
+    seen = set()
+    for m in (H, N):
+        for fseg, cfg in cases:
+            objs = _descending_prefix(fseg, m, cfg)
+            out = optimize_targets(fseg, m, cfg)
+            assert out.steps == len(objs) - 1
+            assert out.objective == objs[-1]
+            seen.add("none" if out.steps == 0 else "all" if out.steps == cfg.max_steps
+                     else "some")
+    assert seen == {"none", "some", "all"}
 
 
 def test_non_cubic_method_rejected():
