@@ -42,8 +42,6 @@ from .probe import ProbeError, ScoreReport, aggregate, score, train_probe
 log = logging.getLogger(__name__)
 
 REPLICATION_SPLITS = (390, 20, 50)  # train (without dev), dev, test
-# grid_configs' axes and the OptimConfig field each one sets
-GRID_AXES = {"timing_lrs": "timing_lr", "position_lrs": "position_lr", "lambdas": "lam"}
 
 
 class ConfigError(ValueError):
@@ -63,12 +61,12 @@ class ExperimentConfig:
     method: str = "linear"
     optimize_timing: bool = False
     optimize_position: bool = False
-    grid: dict | None = None  # axis overrides for the hyper-parameter grid
+    grid: dict | None = None  # axis overrides for the grid, see optimize.GRID_AXES
     split_sizes: tuple[int, int, int] = REPLICATION_SPLITS
     seed: int = 0
     out_dir: str = "out"
-    max_steps: int = 200
-    min_gap: float = 1e-3
+    max_steps: int = OptimConfig.max_steps
+    min_gap: float = OptimConfig.min_gap
 
     frame_rate = 100.0  # Hz, the rate of the EMA frames; a class constant, not a field
 
@@ -90,37 +88,24 @@ class ExperimentConfig:
             raise ConfigError(f"split_sizes must be three integers, got {self.split_sizes!r}")
         if min(self.split_sizes) < 1:
             raise ConfigError("every split needs at least one utterance")
-        for name in ("optimize_timing", "optimize_position"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        for name in ("max_steps", "seed"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            if value < 0:
-                raise ConfigError(f"{name} must be non-negative, got {value}")
-        try:
-            OptimConfig(min_gap=self.min_gap)
+        if not _is_int(self.seed):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        try:  # OptimConfig and grid_configs hold the optimizer's rules
+            optim = self.optim
+            if self.grid is not None:
+                grid_configs(optim, self.grid)
         except OptimizeError as exc:
-            raise ConfigError(f"min_gap = {self.min_gap!r}: {exc}") from exc
+            raise ConfigError(str(exc)) from exc
         if not self.interp_method.is_cubic and self.wants_optimization:  # validates method
             raise ConfigError("target optimization requires a cubic interpolation method")
-        if not isinstance(self.grid, (dict, type(None))):
-            raise ConfigError(f"grid must be an object of axis lists, got {self.grid!r}")
-        unknown = set(self.grid or {}) - set(GRID_AXES)
-        if unknown:
-            raise ConfigError(f"unknown grid axes {sorted(unknown)}; "
-                              f"known: {', '.join(GRID_AXES)}")
-        for axis, values in (self.grid or {}).items():
-            try:
-                if not (isinstance(values, (list, tuple)) and values and all(
-                        isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)):
-                    raise OptimizeError("must be a non-empty list of numbers")
-                for v in values:  # OptimConfig holds the rules for each value
-                    OptimConfig(optimize_timing=True, optimize_position=True,
-                                **{GRID_AXES[axis]: v})
-            except OptimizeError as exc:
-                raise ConfigError(f"grid axis {axis} = {values!r}: {exc}") from exc
+
+    @functools.cached_property
+    def optim(self) -> OptimConfig:
+        """The optimizer settings every grid point shares."""
+        return OptimConfig(max_steps=self.max_steps, optimize_timing=self.optimize_timing,
+                           optimize_position=self.optimize_position, min_gap=self.min_gap)
 
     @property
     def interp_method(self) -> InterpMethod:
@@ -512,13 +497,7 @@ def grid_search(run: Run) -> tuple[OptimConfig, list[dict]]:
     cfg = run.cfg
     if not cfg.wants_optimization:
         raise ConfigError("grid search requires optimization to be enabled")
-    configs = grid_configs(
-        **(cfg.grid or {}),
-        optimize_timing=cfg.optimize_timing,
-        optimize_position=cfg.optimize_position,
-        max_steps=cfg.max_steps,
-        min_gap=cfg.min_gap,
-    )
+    configs = grid_configs(cfg.optim, cfg.grid)
     data = run.data
     rows = [run.stage("grid-eval", run.key("grid", cfg.speakers, oc),
                       lambda oc=oc: _grid_point(cfg, data, oc),
@@ -776,9 +755,12 @@ def _cmd_optimize(run: Run, args) -> None:
     for data in run.data:
         spk_out = run.out / "optimized" / data.speaker
         spk_out.mkdir(parents=True, exist_ok=True)
-        for utt in sorted(data.fsegs):
-            optimize_targets(data.fsegs[utt], run.cfg.interp_method, best).to_csv(
-                spk_out / f"{utt}.csv")
+        targets = run.stage(
+            f"optimized/{data.speaker}", run.key("optimized", [data.speaker], best),
+            lambda: [optimize_targets(data.fsegs[u], run.cfg.interp_method, best)
+                     for u in sorted(data.fsegs)])
+        for opt in targets:
+            opt.to_csv(spk_out / f"{opt.utterance_id}.csv")
         print(f"{data.speaker}: optimized {len(data.fsegs)} utterances to {spk_out}")
 
 
@@ -791,12 +773,6 @@ def _cmd_probe(run: Run, args) -> None:
         np.savez(out / f"{data.speaker}.npz", weight=probe.weight, bias=probe.bias,
                  best_dev_loss=probe.best_dev_loss)
         print(f"{data.speaker}: probe trained (dev loss {probe.best_dev_loss:.6g})")
-
-
-def _cmd_score(cfg: ExperimentConfig) -> None:
-    report, _ = run_experiment(replace(cfg, optimize_timing=False,
-                                       optimize_position=False))
-    print(report.to_text())
 
 
 def _cmd_grid(run: Run, args) -> None:
@@ -850,10 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=_cmd_probe)
 
-    p = sub.add_parser("score", help="score without target optimization")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_score)
-
     p = sub.add_parser("grid", help="hyper-parameter grid search on dev")
     _add_common(p)
     p.set_defaults(fn=_cmd_grid)
@@ -886,7 +858,7 @@ def main(argv=None) -> int:
     try:
         if "config" not in args:  # gen-synthetic
             args.fn(args)
-        elif args.fn in (_cmd_run, _cmd_score):  # run_experiment builds and records its own Run
+        elif args.fn is _cmd_run:  # run_experiment builds and records its own Run
             args.fn(_load_config(args))
         else:
             run = Run(_load_config(args))

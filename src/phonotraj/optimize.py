@@ -29,7 +29,9 @@ the input when no step descends.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -37,7 +39,6 @@ from scipy.linalg import solve_banded
 from .alignment import FeaturalSegmentation
 from .forward import CUBIC_METHODS, InterpMethod, flat_nodes, moment_system, segment_table
 
-DEFAULT_MIN_GAP = 1e-3  # seconds between consecutive projected timings
 REL_TOL = 1e-6  # a kept step lowers the objective by more than this fraction
 
 
@@ -47,25 +48,46 @@ class OptimizeError(ValueError):
 
 @dataclass(frozen=True)
 class OptimConfig:
+    """The settings of one descent, and the rules each of them must meet."""
+
     timing_lr: float = 1e-5
     position_lr: float = 1e-2
     lam: float = 0.0
     max_steps: int = 200
     optimize_timing: bool = False
     optimize_position: bool = False
-    min_gap: float = DEFAULT_MIN_GAP
+    min_gap: float = 1e-3  # seconds between consecutive projected timings
 
     def __post_init__(self):
-        if self.optimize_timing and self.timing_lr <= 0:
-            raise OptimizeError("timing learning rate must be positive")
-        if self.optimize_position and self.position_lr <= 0:
-            raise OptimizeError("position learning rate must be positive")
-        if not np.all(np.isfinite([self.timing_lr, self.position_lr, self.lam, self.min_gap])):
-            raise OptimizeError("learning rates, lambda and min_gap must be finite")
+        for name in ("optimize_timing", "optimize_position"):
+            if not isinstance(getattr(self, name), bool):
+                raise OptimizeError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if isinstance(self.max_steps, bool) or not isinstance(self.max_steps, int):
+            raise OptimizeError(f"max_steps must be an integer, got {self.max_steps!r}")
+        if self.max_steps < 0:
+            raise OptimizeError(f"max_steps must be non-negative, got {self.max_steps}")
+        for name in ("timing_lr", "position_lr", "lam", "min_gap"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise OptimizeError(f"{name} = {value!r}: must be a number")
+            if not abs(value) <= sys.float_info.max:  # also NaN and an int too large for a float
+                raise OptimizeError(f"{name} = {value!r}: must be finite")
+        for name, used in (("timing_lr", self.optimize_timing),
+                           ("position_lr", self.optimize_position), ("min_gap", True)):
+            if used and getattr(self, name) <= 0:
+                raise OptimizeError(f"{name} = {getattr(self, name)!r}: must be positive")
         if self.lam < 0:
-            raise OptimizeError("lambda must be non-negative")
-        if self.min_gap <= 0:
-            raise OptimizeError("min_gap must be positive")
+            raise OptimizeError(f"lam = {self.lam!r}: must be non-negative")
+
+
+# Each grid axis of the config: the OptimConfig field it sets, the flag of the
+# block whose rate it is (None: lambda, which every block uses) and its
+# default values.  The grid varies the first axis slowest.
+GRID_AXES = {
+    "lambdas": ("lam", None, (0.0, 1e3, 1e4, 1e5, 1e6, 1e7)),
+    "timing_lrs": ("timing_lr", "optimize_timing", (1e-6, 5e-6, 1e-5, 5e-5, 1e-4)),
+    "position_lrs": ("position_lr", "optimize_position", (1e-3, 1e-2, 1e-1)),
+}
 
 
 @dataclass(frozen=True)
@@ -265,39 +287,41 @@ def optimize_targets(
     return OptimizedTargets(fseg.utterance_id, X.copy(), t.copy(), obj, steps)
 
 
-def grid_configs(
-    timing_lrs=(1e-6, 5e-6, 1e-5, 5e-5, 1e-4),
-    position_lrs=(1e-3, 1e-2, 1e-1),
-    lambdas=(0.0, 1e3, 1e4, 1e5, 1e6, 1e7),
-    *,
-    optimize_timing: bool = True,
-    optimize_position: bool = True,
-    max_steps: int = 200,
-    min_gap: float = DEFAULT_MIN_GAP,
-) -> list[OptimConfig]:
-    """The hyper-parameter grid, restricted by the enabled blocks.
+def grid_configs(base: OptimConfig, grid: dict | None = None) -> list[OptimConfig]:
+    """The hyper-parameter grid around ``base``: one OptimConfig per point.
 
-    Full grid order is deterministic: lambda varies slowest, then timing
-    rate, then position rate, each ascending; ties in a downstream argmax
-    therefore resolve to the smallest lambda, then smallest rates.
+    ``grid`` maps axes of ``GRID_AXES`` to their values; an axis it leaves out
+    takes its default values.  The rate axis of a disabled block is not
+    searched and keeps ``base``'s rate; naming it in ``grid`` is an error, as
+    is a grid when both blocks are disabled.  Values are sorted ascending and
+    lambda varies slowest, then the timing rate, then the position rate, so
+    ties in a downstream argmax resolve to the smallest lambda, then the
+    smallest rates.
     """
-    if not (optimize_timing or optimize_position):
-        raise OptimizeError("grid requires at least one block to optimize")
-    t_axis = tuple(sorted(timing_lrs)) if optimize_timing else (1e-5,)
-    p_axis = tuple(sorted(position_lrs)) if optimize_position else (1e-2,)
-    out = []
-    for lam in sorted(lambdas):
-        for tlr in t_axis:
-            for plr in p_axis:
-                out.append(
-                    OptimConfig(
-                        timing_lr=tlr,
-                        position_lr=plr,
-                        lam=lam,
-                        max_steps=max_steps,
-                        optimize_timing=optimize_timing,
-                        optimize_position=optimize_position,
-                        min_gap=min_gap,
-                    )
-                )
-    return out
+    grid = {} if grid is None else grid
+    if not isinstance(grid, dict):
+        raise OptimizeError(f"grid must be an object of axis lists, got {grid!r}")
+    unknown = set(grid) - set(GRID_AXES)
+    if unknown:
+        raise OptimizeError(f"unknown grid axes {sorted(unknown)}; known: {', '.join(GRID_AXES)}")
+    if not (base.optimize_timing or base.optimize_position):
+        ignored = f"grid axes {sorted(grid)} would be ignored: " if grid else ""
+        raise OptimizeError(ignored + "optimize_timing and optimize_position are both false")
+    axes = []
+    for axis, (name, block, default) in GRID_AXES.items():
+        if block and not getattr(base, block):
+            if axis in grid:
+                raise OptimizeError(f"grid axis {axis} would be ignored: {block} is false")
+            continue
+        values = grid.get(axis, default)
+        try:
+            if not (isinstance(values, (list, tuple)) and values):
+                raise OptimizeError("must be a non-empty list of numbers")
+            for v in values:  # OptimConfig holds the rules for each value
+                replace(base, **{name: v})
+            if len(set(values)) < len(values):
+                raise OptimizeError("a value is repeated")
+        except OptimizeError as exc:
+            raise OptimizeError(f"grid axis {axis} = {values!r}: {exc}") from exc
+        axes.append([(name, v) for v in sorted(values)])
+    return [replace(base, **dict(point)) for point in itertools.product(*axes)]

@@ -112,18 +112,44 @@ def test_config_rejects_unknown_grid_axis(tmp_path):
 @pytest.mark.parametrize("grid", [
     {"lambdas": 1e4}, {"lambdas": []}, {"lambdas": [-1.0]}, {"lambdas": [float("inf")]},
     {"timing_lrs": [0.0]}, {"position_lrs": [float("nan")]}, {"position_lrs": ["0.01"]},
-    {"timing_lrs": [True]},
+    {"timing_lrs": [True]}, {"lambdas": [1e3, 1e3]}, {"lambdas": [0, 0.0]},
+    {"position_lrs": [1e-2, 1e-3, 1e-2]},
 ])
 def test_config_rejects_bad_grid_values(tmp_path, grid):
     # {"lambdas": 1e4} used to pass construction and fail inside grid_search
     # with a TypeError, which the CLI reported as a runtime failure (exit 2).
+    # {"lambdas": [1e3, 1e3]} gave two rows in grid.json, the second served
+    # from the first one's cache entry.
     fields = {"dataset_root": str(tmp_path), "speakers": ["a"], "method": "cubic_hermite",
-              "optimize_position": True, "grid": grid}
+              "optimize_timing": True, "optimize_position": True, "grid": grid}
     with pytest.raises(ConfigError, match="grid axis"):
         ExperimentConfig(**{**fields, "speakers": ("a",)})
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(fields), encoding="utf-8")
     assert cli.main(["run", "--config", str(path)]) == 1
+
+
+@pytest.mark.parametrize("flags, grid, named", [
+    ({"optimize_position": True}, {"timing_lrs": [1e-4, 5e-4]}, "grid axis timing_lrs"),
+    ({"optimize_timing": True}, {"position_lrs": [1e-2]}, "grid axis position_lrs"),
+    ({}, {"lambdas": [0.0, 1e3]}, "grid axes ['lambdas']"),
+    ({}, {"timing_lrs": [1e-5], "lambdas": [1e3]}, "grid axes ['lambdas', 'timing_lrs']"),
+])
+def test_config_rejects_a_grid_axis_the_run_would_ignore(tmp_path, monkeypatch, capsys,
+                                                         flags, grid, named):
+    # optimize_timing false with "timing_lrs": [1e-4, 5e-4] used to run and
+    # record timing_lr 1e-05 in grid.json; a grid with both blocks off was
+    # accepted and never searched.
+    fields = {"dataset_root": str(tmp_path), "speakers": ["a"], "method": "cubic_hermite",
+              **flags, "grid": grid}
+    with pytest.raises(ConfigError, match="would be ignored") as err:
+        ExperimentConfig(**{**fields, "speakers": ("a",)})
+    assert named in str(err.value)
+    monkeypatch.setattr(cli, "prepare_speaker", lambda *a: pytest.fail("prepared a speaker"))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(fields), encoding="utf-8")
+    assert cli.main(["grid", "--config", str(path)]) == 1
+    assert named in capsys.readouterr().err
 
 
 def test_optimization_with_a_non_cubic_method_rejected_up_front(tmp_path, monkeypatch):
@@ -631,7 +657,8 @@ def test_cli_end_to_end(tmp_path, capsys):
     traj_dir = tmp_path / "out" / "trajectories" / "spk00"
     assert any(traj_dir.glob("*.traj"))
 
-    assert cli.main(["score", "--config", str(cfg_path)]) == 0
+    with pytest.raises(SystemExit):  # score is gone: run scores a config without optimization
+        cli.main(["score", "--config", str(cfg_path)])
     capsys.readouterr()
     assert cli.main(["probe", "--config", str(cfg_path)]) == 0
     assert "epochs" not in capsys.readouterr().out
@@ -672,7 +699,7 @@ def pair_config(root, tmp_path, **grid) -> Path:
 
 @pytest.mark.parametrize("command", [
     ["ingest"], ["synth"], ["optimize"], ["probe"], ["grid"], ["plot", "--svg", "traj.svg"],
-    ["run"], ["score"],
+    ["run"],
 ], ids=lambda c: c[0])
 def test_every_config_subcommand_writes_a_manifest(pair_root, tmp_path, monkeypatch, command):
     # ingest, synth, optimize, probe and plot used to write no manifest.json.
@@ -709,6 +736,25 @@ def test_optimize_command_writes_the_targets_of_the_best_grid_point(pair_root, t
             expected = tmp_path / "expected.csv"
             optimize_targets(data.fsegs[path.stem], cfg.interp_method, best).to_csv(expected)
             assert path.read_bytes() == expected.read_bytes()
+
+
+def test_repeated_optimize_serves_the_targets_from_the_cache(pair_root, tmp_path, monkeypatch):
+    # A second optimize used to call optimize_targets for every utterance
+    # again (28 calls here) while its manifest showed only cached stages.
+    cfg_path = pair_config(pair_root, tmp_path)
+    assert cli.main(["optimize", "--config", str(cfg_path)]) == 0
+    out = tmp_path / "out"
+    first = {p: p.read_bytes() for p in sorted(out.glob("optimized/*/*.csv"))}
+    assert len(first) == 28
+    optimize = cli.optimize_targets
+    calls = []
+    monkeypatch.setattr(cli, "optimize_targets", lambda *a: calls.append(a) or optimize(*a))
+    assert cli.main(["optimize", "--config", str(cfg_path)]) == 0
+    assert calls == []
+    assert {p: p.read_bytes() for p in sorted(out.glob("optimized/*/*.csv"))} == first
+    stages = json.loads((out / "manifest.json").read_text())["stages"]
+    optimized = {s["stage"]: s["cached"] for s in stages if s["stage"].startswith("optimized/")}
+    assert optimized == {"optimized/spk00": True, "optimized/spk01": True}
 
 
 @pytest.mark.parametrize("utterance, speaker, other", [

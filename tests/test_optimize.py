@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -266,9 +268,24 @@ def test_attainment_gradient_away_from_initialization():
 
 def test_config_rejects_non_finite_values():
     for bad in ({"lam": np.inf}, {"timing_lr": np.nan}, {"position_lr": np.inf},
-                {"min_gap": np.inf}):
+                {"min_gap": np.inf}, {"lam": 10**400}):
         with pytest.raises(OptimizeError, match="finite"):
             OptimConfig(**bad)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"max_steps": 2.5}, "max_steps must be an integer, got 2.5"),
+    ({"max_steps": "5"}, "max_steps must be an integer, got '5'"),
+    ({"max_steps": -1}, "max_steps must be non-negative, got -1"),
+    ({"optimize_timing": "no"}, "optimize_timing must be true or false, got 'no'"),
+    ({"optimize_position": 1}, "optimize_position must be true or false, got 1"),
+    ({"lam": "1e3"}, "lam = '1e3': must be a number"),
+])
+def test_config_rejects_mistyped_settings(bad, message):
+    # max_steps=2.5 used to run 3 steps, max_steps="5" raised TypeError inside
+    # the loop and optimize_timing="no" optimized the timings.
+    with pytest.raises(OptimizeError, match=re.escape(message)):
+        OptimConfig(**bad)
 
 
 def test_projection_repairs_ordering():
@@ -448,8 +465,11 @@ def test_optimized_targets_csv_marks_unknowns(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+BOTH_BLOCKS = OptimConfig(optimize_timing=True, optimize_position=True)
+
+
 def test_replication_grid_has_90_points():
-    grid = grid_configs()
+    grid = grid_configs(BOTH_BLOCKS)
     assert len(grid) == 90
     assert len({(c.timing_lr, c.position_lr, c.lam) for c in grid}) == 90
     assert {c.timing_lr for c in grid} == {1e-6, 5e-6, 1e-5, 5e-5, 1e-4}
@@ -458,7 +478,7 @@ def test_replication_grid_has_90_points():
 
 
 def test_grid_order_breaks_ties_toward_small_lambda_and_rates():
-    grid = grid_configs()
+    grid = grid_configs(BOTH_BLOCKS)
     assert grid[0].lam == 0.0
     assert grid[0].timing_lr == 1e-6
     assert grid[0].position_lr == 1e-3
@@ -467,6 +487,29 @@ def test_grid_order_breaks_ties_toward_small_lambda_and_rates():
 
 
 def test_grid_restricted_by_flags():
-    grid = grid_configs(optimize_timing=False)
+    grid = grid_configs(OptimConfig(optimize_position=True))
     assert len(grid) == 18  # 6 lambdas x 3 position rates
     assert all(not c.optimize_timing for c in grid)
+
+
+def test_grid_keeps_the_base_settings_and_the_disabled_blocks_rate():
+    base = OptimConfig(timing_lr=3e-5, max_steps=7, optimize_position=True, min_gap=0.004)
+    grid = grid_configs(base, {"lambdas": [1e3, 0.0], "position_lrs": [1e-1, 1e-3]})
+    assert [(c.lam, c.position_lr) for c in grid] == [(0.0, 1e-3), (0.0, 1e-1),
+                                                      (1e3, 1e-3), (1e3, 1e-1)]
+    assert {(c.timing_lr, c.max_steps, c.min_gap, c.optimize_timing) for c in grid} == {
+        (3e-5, 7, 0.004, False)}
+
+
+@pytest.mark.parametrize("base, grid, message", [
+    (OptimConfig(optimize_position=True), {"timing_lrs": [1e-4]},
+     "grid axis timing_lrs would be ignored: optimize_timing is false"),
+    (OptimConfig(), {"lambdas": [0.0]}, "grid axes ['lambdas'] would be ignored"),
+    (OptimConfig(), None, "optimize_timing and optimize_position are both false"),
+    (BOTH_BLOCKS, {"lambdas": [1e3, 1e3]}, "grid axis lambdas = [1000.0, 1000.0]: a value is repeated"),
+    (BOTH_BLOCKS, {"lam": [0.0]}, "unknown grid axes ['lam']"),
+    (BOTH_BLOCKS, {"position_lrs": [0.0]}, "grid axis position_lrs = [0.0]: position_lr = 0.0"),
+])
+def test_grid_rejects_axes_it_would_ignore_or_repeat(base, grid, message):
+    with pytest.raises(OptimizeError, match=re.escape(message)):
+        grid_configs(base, grid)
