@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .alignment import (ALIGNMENT_READERS, AlignmentError, FeaturalSegmentation, Phone,
@@ -252,12 +253,15 @@ class Cache:
 @dataclass
 class RunManifest:
     config: dict
+    source_digest: str  # the cache keys' code and numeric stack
     version: str = __version__
     stages: list = field(default_factory=list)
 
     def to_json(self) -> str:
         return json.dumps(
-            {"version": self.version, "config": self.config, "stages": self.stages},
+            {"version": self.version, "config": self.config,
+             "source_digest": self.source_digest, "numpy_version": np.__version__,
+             "scipy_version": scipy.__version__, "stages": self.stages},
             indent=2, sort_keys=True,
         )
 
@@ -342,11 +346,20 @@ def _table_digest(table: FeatureTable) -> str:
 
 @functools.cache
 def _source_digest() -> str:
-    """Digest of the package's own code and data files, read once per process."""
+    """Digest of the package's own code and data files, read once per process,
+    and of the numpy and scipy versions: their compiled routines, called
+    directly, decide output bits too."""
     pkg = Path(__file__).resolve().parent
     files = sorted(pkg.glob("*.py")) + sorted(pkg.glob("data/*"))
-    return _hash_stream(part for p in files
-                        for part in (p.relative_to(pkg).as_posix().encode(), p.read_bytes()))
+
+    def chunks():
+        yield np.__version__.encode()
+        yield scipy.__version__.encode()
+        for p in files:
+            yield p.relative_to(pkg).as_posix().encode()
+            yield p.read_bytes()
+
+    return _hash_stream(chunks())
 
 
 def _speaker_input_hash(cfg: ExperimentConfig, table_digest: str, speaker: str) -> str:
@@ -381,7 +394,8 @@ class Run:
         self.cfg = cfg
         self.out = Path(cfg.out_dir)
         self.cache = Cache(self.out / "cache")
-        self.manifest = RunManifest(config=json.loads(json.dumps(asdict(cfg), default=str)))
+        self.manifest = RunManifest(config=json.loads(json.dumps(asdict(cfg), default=str)),
+                                    source_digest=_source_digest())
         self.table = resolve_table(cfg)
 
     @functools.cached_property

@@ -17,25 +17,22 @@ Every axis is oriented so its largest-magnitude loading is positive, and
 parameters are z-scored with training-partition statistics.
 
 The filter gives scipy's ``filtfilt`` result bit for bit without importing
-``scipy.signal``, whose package import costs every process about a second:
-the Butterworth coefficients are designed in numpy by the calls
-``scipy.signal.butter`` makes, and both passes run scipy's compiled
-recursion, loaded from its extension file (``_load_linear_filter``).
+``scipy.signal`` or ``scipy.linalg`` (about 1 s and 0.25 s of imports for
+every process): the Butterworth coefficients and initial state are designed
+in numpy by the calls ``scipy.signal.butter`` and ``lfilter_zi`` make, and
+both passes run scipy's compiled recursion, loaded from its extension file
+(``_load_linear_filter``).
 """
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
 
 import numpy as np
-import scipy
-from scipy.linalg import companion
 
 from .alignment import FeaturalSegmentation
-from .forward import frame_count
+from .forward import _scipy_extension, frame_count
 
 CHANNELS = (
     "tt_x", "tt_y", "tb_x", "tb_y", "td_x", "td_y",
@@ -269,17 +266,10 @@ def _lowpass() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     once: ``zi`` is the state of its unit step response, as a column, solved
     as ``scipy.signal.lfilter_zi`` solves it."""
     b, a = _butterworth(FILTER_ORDER, CUTOFF_HZ, 500.0)
-    zi = np.linalg.solve(np.eye(len(a) - 1) - companion(a).T, b[1:] - a[1:] * b[0])
+    companion = np.eye(len(a) - 1, k=-1)  # scipy.linalg.companion(a)
+    companion[0] = -a[1:] / (1.0 * a[0])
+    zi = np.linalg.solve(np.eye(len(a) - 1) - companion.T, b[1:] - a[1:] * b[0])
     return b, a, zi[:, None]
-
-
-def _sigtools_path() -> Path | None:
-    """scipy's compiled ``scipy/signal/_sigtools`` extension, if it is there."""
-    signal_dir = Path(scipy.__file__).parent / "signal"
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        if (path := signal_dir / f"_sigtools{suffix}").is_file():
-            return path
-    return None
 
 
 def _load_linear_filter():
@@ -287,19 +277,14 @@ def _load_linear_filter():
 
     It is ``_linear_filter`` from scipy's compiled ``_sigtools``, the function
     ``scipy.signal.lfilter`` calls for a recursive filter, loaded from its file
-    so that ``scipy/signal/__init__.py`` never runs: that package imports
-    scipy.stats, scipy.interpolate and the window functions, about a second
-    and 47 MB for every process.  Where the file is not found, it is
+    by ``_scipy_extension``.  Where the file is not found, it is
     ``scipy.signal.lfilter``, which takes the same arguments and computes the
     same result."""
-    path = _sigtools_path()
-    if path is None:
+    sigtools = _scipy_extension("signal", "_sigtools")
+    if sigtools is None:
         from scipy.signal import lfilter
         return lfilter
-    spec = importlib.util.spec_from_file_location("scipy.signal._sigtools", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module._linear_filter
+    return sigtools._linear_filter
 
 
 _linear_filter = _load_linear_filter()

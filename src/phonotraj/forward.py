@@ -15,10 +15,14 @@ values.  The zero boundary targets act as nodes in every dimension.
 ``flat_nodes`` lists every dimension's nodes in one flat array; synthesis,
 ``select_nodes`` and the optimizer read it.  Synthesis evaluates one flat
 table per utterance: each segment's polynomial coefficients (the pp-form)
-for every dimension, with all natural-cubic moments from one banded solve.
+for every dimension, with all natural-cubic moments from one tridiagonal
+solve: LAPACK ``dgtsv``, loaded from scipy's compiled ``_flapack`` by
+``_scipy_extension`` without importing ``scipy.linalg``.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -26,7 +30,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import solve_banded
+import scipy
 
 from .alignment import FeaturalSegmentation
 
@@ -166,13 +170,60 @@ def select_nodes(fseg: FeaturalSegmentation) -> list[DimensionNodes]:
             for j, (a, b) in enumerate(zip(first.tolist(), (last + 1).tolist()))]
 
 
+def _scipy_extension(subpackage: str, name: str):
+    """scipy's compiled extension module ``scipy/<subpackage>/<name>``, or
+    None where its file is not found.
+
+    It is loaded from its file, so the subpackage's ``__init__`` never runs:
+    ``scipy.linalg`` costs a process about 0.25 s and 20 MB of imports and
+    ``scipy.signal`` about a second and 47 MB, for one compiled routine each.
+    """
+    directory = Path(scipy.__file__).parent / subpackage
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if (path := directory / f"{name}{suffix}").is_file():
+            spec = importlib.util.spec_from_file_location(f"scipy.{subpackage}.{name}", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    return None
+
+
+def _load_tridiagonal_solve():
+    """``solve_banded((1, 1), ab, b, check_finite=False)`` for a tridiagonal
+    ``ab`` in that layout, leaving ``ab`` and ``b`` as they were.
+
+    It calls LAPACK ``dgtsv`` from scipy's compiled ``_flapack``, the routine
+    ``solve_banded`` calls, and keeps its contract: a singular matrix raises
+    ``LinAlgError`` and a 1 x 1 system, which ``dgtsv`` rejects, is a
+    division.  Where the file is not found, it is ``solve_banded``.
+    """
+    flapack = _scipy_extension("linalg", "_flapack")
+    if flapack is None:
+        from scipy.linalg import solve_banded
+        return lambda ab, b: solve_banded((1, 1), ab, b, check_finite=False)
+
+    def solve_tridiagonal(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if ab.shape[1] == 1:
+            return b / ab[1, 0]
+        *_, x, info = flapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
+        return x
+
+    return solve_tridiagonal
+
+
+solve_tridiagonal = _load_tridiagonal_solve()
+
+
 def moment_system(h: np.ndarray, dv: np.ndarray, ends) -> tuple[np.ndarray, np.ndarray]:
     """The natural-cubic moment system of a flat node list and its solution.
 
     ``h`` and ``dv`` are the segment lengths and value steps and ``ends``
     indexes every dimension's first and last node.  Each dimension's
     tridiagonal system is stacked with zero coupling between dimensions, in
-    ``solve_banded((1, 1), ...)`` layout; the matrix is symmetric.  An end
+    the ``solve_banded((1, 1), ...)`` layout that ``solve_tridiagonal``
+    takes; the matrix is symmetric.  An end
     node's row is M = 0, so LAPACK's ``gtsv`` never pivots across it and
     eliminates with multiplier 0: each dimension gets the moments its own
     system would give.  Returns the banded matrix and the moments.
@@ -186,7 +237,7 @@ def moment_system(h: np.ndarray, dv: np.ndarray, ends) -> tuple[np.ndarray, np.n
     r = np.zeros(h.size + 1)
     r[1:-1] = np.where(inner[1:-1], 6.0 * np.diff(dv / h), 0.0)
     # Callers check what they compute from the moments for non-finite values.
-    return ab, solve_banded((1, 1), ab, r, check_finite=False)
+    return ab, solve_tridiagonal(ab, r)
 
 
 def segment_table(method: InterpMethod, times: np.ndarray, values: np.ndarray,

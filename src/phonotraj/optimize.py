@@ -34,10 +34,10 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .alignment import FeaturalSegmentation
-from .forward import CUBIC_METHODS, InterpMethod, flat_nodes, moment_system, segment_table
+from .forward import (CUBIC_METHODS, InterpMethod, flat_nodes, moment_system, segment_table,
+                      solve_tridiagonal)
 
 REL_TOL = 1e-6  # a kept step lowers the objective by more than this fraction
 
@@ -204,7 +204,7 @@ def gradients(
         b = np.zeros(values.size)
         b[1:-1] = h[:-1] * (M[:-2] + 2.0 * M[1:-1]) / 3.0 + h[1:] * (2.0 * M[1:-1] + M[2:]) / 3.0
         b[ends] = 0.0
-        w = solve_banded((1, 1), ab, b, check_finite=False)[1:-1]
+        w = solve_tridiagonal(ab, b)[1:-1]
 
         # Value gradient: w^T dr/dv with r_j = 6*(slope_j - slope_{j-1}).
         gv[2:] += 6.0 * w / h[1:]

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import phonotraj.cli as cli
 from conftest import synthetic_config
@@ -624,6 +625,37 @@ def test_cache_keys_cover_package_source(tmp_path, monkeypatch):
     stages = [s for s in manifest.stages
               if s["stage"].startswith(("prepare/", "score/"))]
     assert len(stages) == 2 and not any(s["cached"] for s in stages)
+
+
+@pytest.mark.parametrize("module", [np, scipy], ids=["numpy", "scipy"])
+def test_cache_keys_cover_the_numeric_stack(tmp_path, monkeypatch, module):
+    root = tmp_path / "ds"
+    generate_synthetic(root, speakers=1, utterances=14, dim=4, seed=9)
+    cfg = synthetic_config(root, utterances=14, speakers=1,
+                           out_dir=str(tmp_path / "out"))
+    _, manifest = run_experiment(cfg)
+    [key] = [s["key"] for s in manifest.stages if s["stage"] == "prepare/spk00"]
+    monkeypatch.setattr(module, "__version__", module.__version__ + "+patched")
+    cli._source_digest.cache_clear()
+    try:
+        _, manifest = run_experiment(cfg)
+    finally:
+        monkeypatch.undo()
+        cli._source_digest.cache_clear()
+    [prep] = [s for s in manifest.stages if s["stage"] == "prepare/spk00"]
+    assert prep["key"] != key and not prep["cached"]
+
+
+def test_manifest_records_its_cache_provenance(tiny_root, tmp_path):
+    cfg = synthetic_config(tiny_root, utterances=14, speakers=1,
+                           out_dir=str(tmp_path / "out"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg.to_json(), encoding="utf-8")
+    assert cli.main(["ingest", "--config", str(cfg_path)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["source_digest"] == cli._source_digest()
+    assert manifest["numpy_version"] == np.__version__
+    assert manifest["scipy_version"] == scipy.__version__
 
 
 # ---------------------------------------------------------------------------

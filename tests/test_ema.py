@@ -248,17 +248,25 @@ def test_lowpass_design_equals_scipy():
     assert np.array_equal(zi, lfilter_zi(B, A)[:, None])
 
 
-def test_import_leaves_scipy_signal_out():
+def _import_leaves_out(package):
     src = Path(ema.__file__).resolve().parents[1]
-    code = "import sys, phonotraj.cli; assert 'scipy.signal' not in sys.modules"
+    code = f"import sys, phonotraj.cli; assert {package!r} not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def test_import_leaves_scipy_signal_out():
+    _import_leaves_out("scipy.signal")
+
+
+def test_import_leaves_scipy_linalg_out():
+    _import_leaves_out("scipy.linalg")
 
 
 def test_filter_without_the_compiled_extension_falls_back_to_lfilter(monkeypatch):
     rec = make_record(n=1572, seed=5)
     expected = filter_and_downsample(rec).channels
-    monkeypatch.setattr(ema, "_sigtools_path", lambda: None)
+    monkeypatch.setattr(ema, "_scipy_extension", lambda subpackage, name: None)
     fallback = ema._load_linear_filter()
     assert fallback is lfilter
     monkeypatch.setattr(ema, "_linear_filter", fallback)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
+from scipy.linalg import solve_banded
 
 from conftest import one_sided_derivative, random_fseg
 from phonotraj import forward
@@ -350,8 +351,8 @@ def test_synthesis_matches_numpy_and_scipy_interpolants():
 
 def test_one_banded_solve_per_node_set_and_per_utterance(monkeypatch):
     solves = []
-    real = forward.solve_banded
-    monkeypatch.setattr(forward, "solve_banded",
+    real = forward.solve_tridiagonal
+    monkeypatch.setattr(forward, "solve_tridiagonal",
                         lambda *a, **kw: solves.append(1) or real(*a, **kw))
     dn = nodes([0.0, 0.3, 0.5, 0.9, 1.2], [0.0, 1.0, -0.5, 0.25, 0.0])
     for tau in np.linspace(0.0, 1.2, 50):
@@ -363,6 +364,38 @@ def test_one_banded_solve_per_node_set_and_per_utterance(monkeypatch):
     assert np.unique(fseg.specified, axis=1).shape[1] > 1  # several node masks
     synthesize(fseg, N, 100.0)
     assert len(solves) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 50, 2000])
+def test_tridiagonal_solve_equals_solve_banded(n):
+    rng = np.random.default_rng(n)
+    ab, b = rng.normal(size=(3, n)), rng.normal(size=n)
+    ab[1] += 4.0 * np.sign(ab[1])  # diagonally dominant
+    ab0, b0 = ab.copy(), b.copy()
+    x = forward.solve_tridiagonal(ab, b)
+    assert np.array_equal(x, solve_banded((1, 1), ab, b, check_finite=False))
+    assert x.shape == (n,)
+    assert np.array_equal(ab, ab0) and np.array_equal(b, b0)
+
+
+def test_tridiagonal_solve_rejects_a_singular_matrix():
+    ab = np.zeros((3, 4))
+    ab[1] = [1.0, 0.0, 1.0, 1.0]
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        forward.solve_tridiagonal(ab, np.ones(4))
+
+
+def test_moments_without_the_compiled_extension_fall_back_to_solve_banded(monkeypatch):
+    rng = np.random.default_rng(14)
+    h, dv = rng.uniform(0.05, 0.3, size=39), rng.normal(size=39)
+    ends = [0, 17, 18, 39]  # two dimensions of 18 and 22 nodes
+    expected = forward.moment_system(h, dv, ends)
+    monkeypatch.setattr(forward, "_scipy_extension", lambda subpackage, name: None)
+    fallback = forward._load_tridiagonal_solve()
+    assert fallback is not forward.solve_tridiagonal
+    monkeypatch.setattr(forward, "solve_tridiagonal", fallback)
+    ab, M = forward.moment_system(h, dv, ends)
+    assert np.array_equal(ab, expected[0]) and np.array_equal(M, expected[1])
 
 
 def test_trajectory_binary_round_trip(tmp_path):

@@ -122,7 +122,8 @@ def test_objective_matches_scipy_spline_energy():
 def test_one_banded_solve_per_objective_and_two_per_gradient(monkeypatch):
     solves = []
     for module in (forward, optimize):
-        monkeypatch.setattr(module, "solve_banded", lambda *a, _real=module.solve_banded, **kw:
+        monkeypatch.setattr(module, "solve_tridiagonal",
+                            lambda *a, _real=module.solve_tridiagonal, **kw:
                             solves.append(1) or _real(*a, **kw))
     fseg = random_fseg(np.random.default_rng(13), k=10, d=12, unknown_prob=0.4)
     assert np.unique(fseg.specified, axis=1).shape[1] > 1  # several node masks
