@@ -35,7 +35,7 @@ from .ema import (CHANNELS, EMA_READERS, ArticulatorySeries, EmaError, EmaRecord
                   align_frames, filter_and_downsample, fit_guided_pca,
                   load_ema, project, write_est_track)
 from .forward import ForwardError, InterpMethod, Trajectory, synthesize, synthesize_targets
-from .optimize import OptimConfig, OptimizeError, grid_configs, optimize_targets
+from .optimize import OptimConfig, OptimizeError, grid_configs, grid_fields, optimize_targets
 from .phonology import (FeatureTable, FeatureTableError, enrich_with_phonemes,
                         get_table, load_feature_table)
 from .probe import ProbeError, ScoreReport, aggregate, score, train_probe
@@ -484,13 +484,19 @@ def _speaker_score(
     return score(train_probe(pairs["train"], pairs["dev"]), pairs[eval_part]), steps
 
 
+def _grid_axes(oc: OptimConfig) -> dict:
+    """The grid point ``oc`` by the axes the grid searched, as grid.json names
+    them: a disabled block's rate is left out."""
+    return {("lambda" if name == "lam" else name): getattr(oc, name) for name in grid_fields(oc)}
+
+
 def _grid_point(cfg: ExperimentConfig, data: list[SpeakerData],
                 oc: OptimConfig) -> tuple[dict, dict]:
     """One grid point's row of grid.json and its manifest fields, which add
     the number of utterances optimized and of those that kept a step
     (``improved``)."""
     results = [_speaker_score(d, cfg, oc, "dev") for d in data]
-    row = {"timing_lr": oc.timing_lr, "position_lr": oc.position_lr, "lambda": oc.lam,
+    row = {**_grid_axes(oc),
            "dev_score": aggregate(np.vstack([r for r, _ in results]), tuple(cfg.speakers)).grand}
     steps = [n for _, point_steps in results for n in point_steps]
     fields = {("lam" if k == "lambda" else k): v for k, v in row.items()}
@@ -791,8 +797,7 @@ def _cmd_probe(run: Run, args) -> None:
 
 def _cmd_grid(run: Run, args) -> None:
     best, _ = grid_search(run)
-    print(f"best: timing_lr={best.timing_lr} position_lr={best.position_lr} "
-          f"lambda={best.lam}")
+    print("best: " + " ".join(f"{axis}={value}" for axis, value in _grid_axes(best).items()))
 
 
 def _cmd_run(cfg: ExperimentConfig) -> None:

@@ -14,14 +14,16 @@ jaw-first linear decomposition:
     6. lip height        vertical lower-minus-upper lip aperture residual
 
 Every axis is oriented so its largest-magnitude loading is positive, and
-parameters are z-scored with training-partition statistics.
+parameters are z-scored with training-partition statistics.  The fit reads
+one 12 x 12 covariance of the pooled training frames, summed one record at
+a time, and never holds the pooled frames.
 
 The filter gives scipy's ``filtfilt`` result bit for bit without importing
 ``scipy.signal`` or ``scipy.linalg`` (about 1 s and 0.25 s of imports for
 every process): the Butterworth coefficients and initial state are designed
 in numpy by the calls ``scipy.signal.butter`` and ``lfilter_zi`` make, and
 both passes run scipy's compiled recursion, loaded from its extension file
-(``_load_linear_filter``).
+(``_linear_filter``).
 """
 from __future__ import annotations
 
@@ -272,22 +274,9 @@ def _lowpass() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return b, a, zi[:, None]
 
 
-def _load_linear_filter():
-    """The direct-form II recursion ``lfilter(b, a, x, axis, zi)``.
-
-    It is ``_linear_filter`` from scipy's compiled ``_sigtools``, the function
-    ``scipy.signal.lfilter`` calls for a recursive filter, loaded from its file
-    by ``_scipy_extension``.  Where the file is not found, it is
-    ``scipy.signal.lfilter``, which takes the same arguments and computes the
-    same result."""
-    sigtools = _scipy_extension("signal", "_sigtools")
-    if sigtools is None:
-        from scipy.signal import lfilter
-        return lfilter
-    return sigtools._linear_filter
-
-
-_linear_filter = _load_linear_filter()
+# The direct-form II recursion ``lfilter(b, a, x, axis, zi)``: the compiled
+# routine ``scipy.signal.lfilter`` itself calls for a recursive filter.
+_linear_filter = _scipy_extension("signal", "_sigtools")._linear_filter
 
 
 # Samples of odd extension at each end, scipy's ``filtfilt`` default
@@ -328,9 +317,8 @@ def filter_and_downsample(rec: EmaRecord) -> EmaRecord:
                      rec.nan_repairs)
 
 
-def _first_axis(xy: np.ndarray) -> np.ndarray:
-    """First principal axis of centered 2D data, largest loading positive."""
-    cov = xy.T @ xy / xy.shape[0]
+def _first_axis(cov: np.ndarray) -> np.ndarray:
+    """First principal axis of a 2 x 2 covariance, largest loading positive."""
     vals, vecs = np.linalg.eigh(cov)
     axis = vecs[:, np.argmax(vals)]
     if axis[np.argmax(np.abs(axis))] < 0:
@@ -338,13 +326,13 @@ def _first_axis(xy: np.ndarray) -> np.ndarray:
     return axis
 
 
-_GROUPS = {  # parameter -> (x channel, y channel) column indices
-    "tongue_body": (CHANNELS.index("tb_x"), CHANNELS.index("tb_y")),
-    "tongue_dorsum": (CHANNELS.index("td_x"), CHANNELS.index("td_y")),
-    "tongue_tip": (CHANNELS.index("tt_x"), CHANNELS.index("tt_y")),
-    "lip_protrusion": (CHANNELS.index("ul_x"), CHANNELS.index("ul_y")),
+_GROUPS = {  # parameter -> [x channel, y channel] column indices
+    "tongue_body": [CHANNELS.index("tb_x"), CHANNELS.index("tb_y")],
+    "tongue_dorsum": [CHANNELS.index("td_x"), CHANNELS.index("td_y")],
+    "tongue_tip": [CHANNELS.index("tt_x"), CHANNELS.index("tt_y")],
+    "lip_protrusion": [CHANNELS.index("ul_x"), CHANNELS.index("ul_y")],
 }
-_LI = (CHANNELS.index("li_x"), CHANNELS.index("li_y"))
+_LI = [CHANNELS.index("li_x"), CHANNELS.index("li_y")]
 _UL_Y = CHANNELS.index("ul_y")
 _LL_Y = CHANNELS.index("ll_y")
 
@@ -353,8 +341,9 @@ _LL_Y = CHANNELS.index("ll_y")
 class GuidedPcaModel:
     """Per-speaker linear decomposition of the 12 coil channels.
 
-    ``matrix`` maps mean-centered channels to the 6 raw parameters;
-    ``z_mean``/``z_std`` hold the training statistics used for z-scoring.
+    ``matrix`` maps mean-centered channels to the 6 raw parameters, whose
+    training means are 0 because ``channel_means`` are the training means;
+    ``z_std`` holds their training standard deviations, used for z-scoring.
     """
 
     channel_means: np.ndarray  # (12,)
@@ -362,7 +351,6 @@ class GuidedPcaModel:
     jaw_coef: np.ndarray  # (12,) regression of each channel on jaw (li entries 0)
     axes: dict  # parameter -> (2,) principal axis
     matrix: np.ndarray  # (12, 6)
-    z_mean: np.ndarray  # (6,)
     z_std: np.ndarray  # (6,)
 
     def raw_parameters(self, channels: np.ndarray) -> np.ndarray:
@@ -371,76 +359,62 @@ class GuidedPcaModel:
 
 
 def fit_guided_pca(records: list[EmaRecord]) -> GuidedPcaModel:
-    """Fit the jaw-first decomposition on pooled 100 Hz training frames."""
+    """Fit the jaw-first decomposition on pooled 100 Hz training frames.
+
+    Everything is read from the covariance ``S`` of the pooled frames: the
+    jaw axis ``a`` is the first axis of the incisor block, with variance
+    ``v = aᵀ S_li a``; the jaw regression is ``S[:, li] a / v``; and the
+    residuals' covariance is ``S - v · jaw_coef jaw_coefᵀ``, whose 2 x 2
+    blocks give the group axes.
+    """
     if len(records) < 2:
         raise EmaError("guided PCA needs at least 2 training records")
     for r in records:
         if r.sample_rate != 100:
             raise EmaError(f"{r.utterance_id}: guided PCA expects 100 Hz records")
-    pooled = np.concatenate([r.channels for r in records], axis=0)
-    if pooled.shape[0] < 1000:
-        raise EmaError(f"guided PCA needs >= 1000 pooled frames, got {pooled.shape[0]}")
-    var = pooled.var(axis=0)
-    for name, (cx, cy) in (("lower_incisor", _LI),) + tuple(
-        (g, cols) for g, cols in _GROUPS.items()
-    ):
+    n = sum(r.channels.shape[0] for r in records)
+    if n < 1000:
+        raise EmaError(f"guided PCA needs >= 1000 pooled frames, got {n}")
+    means = sum(r.channels.sum(axis=0) for r in records) / n
+    S = np.zeros((len(CHANNELS), len(CHANNELS)))
+    for r in records:
+        centered = r.channels - means
+        S += centered.T @ centered
+    S /= n
+    var = np.diag(S)
+    for name, (cx, cy) in [("lower_incisor", _LI), *_GROUPS.items()]:
         if var[cx] + var[cy] < 1e-12:
             raise EmaError(f"degenerate covariance: coil pair {name} never moves")
-    means = pooled.mean(axis=0)
-    centered = pooled - means
 
-    jaw_axis = _first_axis(centered[:, list(_LI)])
-    jaw = centered[:, list(_LI)] @ jaw_axis
-    if jaw.var() < 1e-12:
+    jaw_axis = _first_axis(S[np.ix_(_LI, _LI)])
+    jaw_var = jaw_axis @ S[np.ix_(_LI, _LI)] @ jaw_axis
+    if jaw_var < 1e-12:
         raise EmaError("degenerate covariance: jaw parameter has no variance")
+    jaw_coef = S[:, _LI] @ jaw_axis / jaw_var
+    jaw_coef[_LI] = 0.0
+    residual_cov = S - jaw_var * np.outer(jaw_coef, jaw_coef)
+    axes = {name: _first_axis(residual_cov[np.ix_(cols, cols)]) for name, cols in _GROUPS.items()}
 
-    # Regress every non-incisor channel on the jaw parameter.
-    denom = float(jaw @ jaw)
-    jaw_coef = np.zeros(len(CHANNELS))
-    for j in range(len(CHANNELS)):
-        if j in _LI:
-            continue
-        jaw_coef[j] = float(jaw @ centered[:, j]) / denom
-    residual = centered - np.outer(jaw, jaw_coef)
-
-    axes = {}
-    for name, (cx, cy) in _GROUPS.items():
-        axes[name] = _first_axis(residual[:, [cx, cy]])
-
-    # Assemble the composite 12 -> 6 map.  Each parameter is a functional of
-    # the centered channels: group axis applied to residuals, which folds the
-    # jaw regression back onto the lower-incisor channels.
+    # Each parameter after the jaw loads the residuals x - jaw·jaw_coef with
+    # jaw = x[li]·jaw_axis, so its jaw regression folds onto the incisor rows.
     matrix = np.zeros((len(CHANNELS), 6))
-    matrix[list(_LI), 0] = jaw_axis
-
-    def _fill(col: int, loadings: dict[int, float]) -> None:
-        jaw_part = 0.0
-        for ch, w in loadings.items():
-            matrix[ch, col] += w
-            jaw_part += w * jaw_coef[ch]
-        matrix[list(_LI), col] -= jaw_part * jaw_axis
-
     for col, name in enumerate(PARAMETERS[1:5], start=1):
-        cx, cy = _GROUPS[name]
-        ax = axes[name]
-        _fill(col, {cx: ax[0], cy: ax[1]})
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    _fill(5, {_LL_Y: inv_sqrt2, _UL_Y: -inv_sqrt2})
+        matrix[_GROUPS[name], col] = axes[name]
+    matrix[[_LL_Y, _UL_Y], 5] = (1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0))
+    matrix[_LI] -= np.outer(jaw_axis, jaw_coef @ matrix)
+    matrix[_LI, 0] = jaw_axis
 
-    raw = centered @ matrix
-    z_mean = raw.mean(axis=0)
-    z_std = raw.std(axis=0)
+    z_std = np.sqrt(np.diag(matrix.T @ S @ matrix))
     if np.any(z_std < 1e-12):
         raise EmaError("degenerate articulatory parameter (zero variance on training data)")
-    return GuidedPcaModel(means, jaw_axis, jaw_coef, axes, matrix, z_mean, z_std)
+    return GuidedPcaModel(means, jaw_axis, jaw_coef, axes, matrix, z_std)
 
 
 def project(model: GuidedPcaModel, rec: EmaRecord) -> ArticulatorySeries:
     """Articulatory parameters of one record, z-scored with training stats."""
     if rec.sample_rate != 100:
         raise EmaError(f"{rec.utterance_id}: projection expects 100 Hz records")
-    raw = model.raw_parameters(rec.channels)
-    return ArticulatorySeries(rec.utterance_id, (raw - model.z_mean) / model.z_std)
+    return ArticulatorySeries(rec.utterance_id, model.raw_parameters(rec.channels) / model.z_std)
 
 
 def align_frames(z: ArticulatorySeries, fseg: FeaturalSegmentation) -> ArticulatorySeries:

@@ -21,6 +21,7 @@ solve: LAPACK ``dgtsv``, loaded from scipy's compiled ``_flapack`` by
 """
 from __future__ import annotations
 
+import importlib
 import importlib.machinery
 import importlib.util
 import struct
@@ -171,12 +172,12 @@ def select_nodes(fseg: FeaturalSegmentation) -> list[DimensionNodes]:
 
 
 def _scipy_extension(subpackage: str, name: str):
-    """scipy's compiled extension module ``scipy/<subpackage>/<name>``, or
-    None where its file is not found.
+    """scipy's compiled extension module ``scipy.<subpackage>.<name>``.
 
     It is loaded from its file, so the subpackage's ``__init__`` never runs:
     ``scipy.linalg`` costs a process about 0.25 s and 20 MB of imports and
     ``scipy.signal`` about a second and 47 MB, for one compiled routine each.
+    Where the file is not found, the module is imported the usual way.
     """
     directory = Path(scipy.__file__).parent / subpackage
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
@@ -185,35 +186,27 @@ def _scipy_extension(subpackage: str, name: str):
             module = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(module)
             return module
-    return None
+    return importlib.import_module(f"scipy.{subpackage}.{name}")
 
 
-def _load_tridiagonal_solve():
+_flapack = _scipy_extension("linalg", "_flapack")
+
+
+def solve_tridiagonal(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``solve_banded((1, 1), ab, b, check_finite=False)`` for a tridiagonal
     ``ab`` in that layout, leaving ``ab`` and ``b`` as they were.
 
     It calls LAPACK ``dgtsv`` from scipy's compiled ``_flapack``, the routine
     ``solve_banded`` calls, and keeps its contract: a singular matrix raises
     ``LinAlgError`` and a 1 x 1 system, which ``dgtsv`` rejects, is a
-    division.  Where the file is not found, it is ``solve_banded``.
+    division.
     """
-    flapack = _scipy_extension("linalg", "_flapack")
-    if flapack is None:
-        from scipy.linalg import solve_banded
-        return lambda ab, b: solve_banded((1, 1), ab, b, check_finite=False)
-
-    def solve_tridiagonal(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if ab.shape[1] == 1:
-            return b / ab[1, 0]
-        *_, x, info = flapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
-        if info > 0:
-            raise np.linalg.LinAlgError("singular matrix")
-        return x
-
-    return solve_tridiagonal
-
-
-solve_tridiagonal = _load_tridiagonal_solve()
+    if ab.shape[1] == 1:
+        return b / ab[1, 0]
+    *_, x, info = _flapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x
 
 
 def moment_system(h: np.ndarray, dv: np.ndarray, ends) -> tuple[np.ndarray, np.ndarray]:

@@ -90,6 +90,12 @@ GRID_AXES = {
 }
 
 
+def grid_fields(base: OptimConfig) -> list[str]:
+    """The OptimConfig fields ``grid_configs(base, ...)`` searches: lambda and
+    the rate of each enabled block."""
+    return [name for name, block, _ in GRID_AXES.values() if block is None or getattr(base, block)]
+
+
 @dataclass(frozen=True)
 class OptimizedTargets:
     """Result of target optimization; NaN entries stay unknown."""
@@ -307,9 +313,9 @@ def grid_configs(base: OptimConfig, grid: dict | None = None) -> list[OptimConfi
     if not (base.optimize_timing or base.optimize_position):
         ignored = f"grid axes {sorted(grid)} would be ignored: " if grid else ""
         raise OptimizeError(ignored + "optimize_timing and optimize_position are both false")
-    axes = []
+    searched, axes = grid_fields(base), []
     for axis, (name, block, default) in GRID_AXES.items():
-        if block and not getattr(base, block):
+        if name not in searched:
             if axis in grid:
                 raise OptimizeError(f"grid axis {axis} would be ignored: {block} is false")
             continue

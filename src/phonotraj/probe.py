@@ -141,11 +141,11 @@ def train_probe(train: list[Pair], dev: list[Pair]) -> ProbeModel:
     for F, Z in cached_train + cached_dev:
         if F.shape[1] != d or Z.shape[1] != n_params:
             raise ProbeError("inconsistent feature or parameter dimensions")
-    pooled_targets = np.concatenate([Z for _, Z in cached_train], axis=0)
-    for j in range(n_params):
-        if np.ptp(pooled_targets[:, j]) == 0:
-            log.warning("training parameter %s is constant; fit is degenerate",
-                        PARAMETERS[j] if j < len(PARAMETERS) else j)
+    lowest = np.min([Z.min(axis=0) for _, Z in cached_train], axis=0)
+    highest = np.max([Z.max(axis=0) for _, Z in cached_train], axis=0)
+    for j in np.flatnonzero(lowest == highest):
+        log.warning("training parameter %s is constant; fit is degenerate",
+                    PARAMETERS[j] if j < len(PARAMETERS) else j)
     # Summed as they are made, in utterance order: one G and one C held at a time.
     G = np.zeros((d + 1, d + 1))
     C = np.zeros((n_params, d + 1))

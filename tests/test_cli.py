@@ -420,6 +420,20 @@ def test_grid_command_writes_the_manifest(tiny_root, tmp_path):
     assert [s["lam"] for s in manifest["stages"][1:]] == [0.0, 1e3]
 
 
+def test_grid_lists_only_the_axes_it_searched(tiny_root, tmp_path, capsys):
+    cfg = replace(small_grid_cfg(tiny_root, tmp_path, position_lrs=[1e-2], lambdas=[1e3]),
+                  optimize_timing=False)
+    cfg_path = tmp_path / "grid.json"
+    cfg_path.write_text(cfg.to_json(), encoding="utf-8")
+    assert cli.main(["grid", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "best: lambda=1000.0 position_lr=0.01"
+    grid = json.loads((Path(cfg.out_dir) / "grid.json").read_text())
+    assert [set(p) for p in grid["points"]] == [{"position_lr", "lambda", "dev_score"}]
+    manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
+    [point] = [s for s in manifest["stages"] if s["stage"] == "grid-eval"]
+    assert "timing_lr" not in point and (point["lam"], point["position_lr"]) == (1e3, 1e-2)
+
+
 def test_grid_of_only_overshooting_rates_scores_every_point(tiny_root, tmp_path):
     cfg = small_grid_cfg(tiny_root, tmp_path, timing_lrs=[1e-5],
                          position_lrs=[1e150, 1e308], lambdas=[0.0, 1e3])

@@ -1,11 +1,12 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.signal import butter, filtfilt, lfilter, lfilter_zi
+from scipy.signal import butter, filtfilt, lfilter_zi
 
 from phonotraj import ema
 from phonotraj.alignment import FeaturalSegmentation
@@ -263,16 +264,6 @@ def test_import_leaves_scipy_linalg_out():
     _import_leaves_out("scipy.linalg")
 
 
-def test_filter_without_the_compiled_extension_falls_back_to_lfilter(monkeypatch):
-    rec = make_record(n=1572, seed=5)
-    expected = filter_and_downsample(rec).channels
-    monkeypatch.setattr(ema, "_scipy_extension", lambda subpackage, name: None)
-    fallback = ema._load_linear_filter()
-    assert fallback is lfilter
-    monkeypatch.setattr(ema, "_linear_filter", fallback)
-    assert np.array_equal(filter_and_downsample(rec).channels, expected)
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n", [0, 18])
 def test_short_track_rejected(n):
@@ -368,7 +359,6 @@ def test_pooling_duplicates_is_idempotent():
     m2 = fit_guided_pca([rec, rec])
     m3 = fit_guided_pca([rec, rec, rec])
     np.testing.assert_allclose(m2.matrix, m3.matrix, atol=1e-12)
-    np.testing.assert_allclose(m2.z_mean, m3.z_mean, atol=1e-12)
     np.testing.assert_allclose(m2.z_std, m3.z_std, atol=1e-12)
 
 
@@ -398,6 +388,84 @@ def test_training_projection_is_zscored():
     Z = np.concatenate([project(model, r).Z for r in recs])
     np.testing.assert_allclose(Z.mean(axis=0), 0.0, atol=1e-9)
     np.testing.assert_allclose(Z.std(axis=0), 1.0, atol=1e-9)
+
+
+def _pooled_reference_fit(records):
+    """The guided PCA computed on pooled copies of the frames: concatenated,
+    centered, jaw-regressed residuals and projected parameters.  Returns
+    ``(channel_means, jaw_axis, jaw_coef, axes, matrix, z_mean, z_std)``."""
+
+    def first_axis(xy):
+        vals, vecs = np.linalg.eigh(xy.T @ xy / xy.shape[0])
+        axis = vecs[:, np.argmax(vals)]
+        return -axis if axis[np.argmax(np.abs(axis))] < 0 else axis
+
+    li = [IDX["li_x"], IDX["li_y"]]
+    groups = {"tongue_body": "tb", "tongue_dorsum": "td", "tongue_tip": "tt",
+              "lip_protrusion": "ul"}
+    groups = {name: [IDX[f"{g}_x"], IDX[f"{g}_y"]] for name, g in groups.items()}
+    pooled = np.concatenate([r.channels for r in records], axis=0)
+    means = pooled.mean(axis=0)
+    centered = pooled - means
+    jaw_axis = first_axis(centered[:, li])
+    jaw = centered[:, li] @ jaw_axis
+    jaw_coef = np.zeros(12)
+    for j in range(12):
+        if j not in li:
+            jaw_coef[j] = float(jaw @ centered[:, j]) / float(jaw @ jaw)
+    residual = centered - np.outer(jaw, jaw_coef)
+    axes = {name: first_axis(residual[:, cols]) for name, cols in groups.items()}
+    matrix = np.zeros((12, 6))
+    matrix[li, 0] = jaw_axis
+    loadings = [dict(zip(groups[name], axes[name])) for name in PARAMETERS[1:5]]
+    loadings.append({IDX["ll_y"]: 1 / np.sqrt(2.0), IDX["ul_y"]: -1 / np.sqrt(2.0)})
+    for col, loading in enumerate(loadings, start=1):
+        for ch, w in loading.items():
+            matrix[ch, col] += w
+        matrix[li, col] -= sum(w * jaw_coef[ch] for ch, w in loading.items()) * jaw_axis
+    raw = centered @ matrix
+    return means, jaw_axis, jaw_coef, axes, matrix, raw.mean(axis=0), raw.std(axis=0)
+
+
+def _assert_relative(actual, expected, rel):
+    assert np.max(np.abs(actual - expected)) <= rel * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e3, 1e5])
+def test_covariance_fit_equals_the_pooled_reference(offset):
+    rng = np.random.default_rng(11)
+    P = rng.normal(size=(2400, 6)) * rng.uniform(0.5, 3.0, size=6)
+    ch = embed_params(P, rng.normal(0, 0.3, size=12), offset * rng.uniform(1, 3, size=12))
+    ch += rng.normal(scale=0.2, size=ch.shape)  # every 2 x 2 block full rank
+    cuts = np.cumsum(rng.integers(150, 400, size=20))
+    cuts = cuts[cuts < len(ch)]
+    records = [EmaRecord(f"u{i}", 100, part) for i, part in enumerate(np.split(ch, cuts))]
+    model = fit_guided_pca(records)
+    means, jaw_axis, jaw_coef, axes, matrix, z_mean, z_std = _pooled_reference_fit(records)
+    np.testing.assert_allclose(model.channel_means, means, rtol=1e-12, atol=0)
+    _assert_relative(model.jaw_axis, jaw_axis, 1e-12)
+    _assert_relative(model.jaw_coef, jaw_coef, 1e-12)
+    for name, axis in axes.items():
+        _assert_relative(model.axes[name], axis, 1e-12)
+    _assert_relative(model.matrix, matrix, 1e-12)
+    _assert_relative(model.z_std, z_std, 1e-12)
+    for rec in records:
+        expected = ((rec.channels - means) @ matrix - z_mean) / z_std
+        np.testing.assert_allclose(project(model, rec).Z, expected, rtol=0, atol=1e-9)
+
+
+def test_fit_holds_no_pooled_copy_of_the_frames():
+    rng = np.random.default_rng(12)
+    records = [EmaRecord(f"u{i}", 100, rng.normal(size=(500, 12)) + 100.0)
+               for i in range(200)]
+    pooled_bytes = sum(r.channels.nbytes for r in records)  # 100 000 frames, 9.6 MB
+    tracemalloc.start()
+    try:
+        fit_guided_pca(records)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < pooled_bytes, (peak, pooled_bytes)
 
 
 def test_synthetic_rank_structure_recovered_exactly():

@@ -286,6 +286,21 @@ def test_score_exact_probe_is_one():
     np.testing.assert_allclose(score(probe, test), 1.0, atol=1e-9)
 
 
+def test_constant_training_parameter_warns_only_when_constant_over_all_frames(caplog):
+    rng = np.random.default_rng(6)
+    pairs = make_pairs(rng, rng.normal(size=(6, 4)), rng.normal(size=6), 5)
+    train = []
+    for u, (traj, z) in enumerate(pairs[:4]):
+        Z = z.Z.copy()
+        Z[:, 0] = 2.5  # constant over every training frame
+        Z[:, 1] = float(u)  # constant within each utterance only
+        train.append((traj, ArticulatorySeries(z.utterance_id, Z)))
+    with caplog.at_level(logging.WARNING, logger="phonotraj.probe"):
+        train_probe(train, pairs[4:])
+    assert [r.getMessage() for r in caplog.records] == [
+        "training parameter jaw_height is constant; fit is degenerate"]
+
+
 def test_score_zero_probe_excluded_with_warning(caplog):
     rng = np.random.default_rng(5)
     test = make_pairs(rng, np.ones((6, 3)), np.zeros(6), 3)
