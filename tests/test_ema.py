@@ -1,3 +1,4 @@
+import importlib.machinery
 import os
 import subprocess
 import sys
@@ -262,6 +263,18 @@ def test_import_leaves_scipy_signal_out():
 
 def test_import_leaves_scipy_linalg_out():
     _import_leaves_out("scipy.linalg")
+
+
+def test_filter_without_the_compiled_extension_falls_back_to_lfilter(monkeypatch):
+    """Where no extension file is found, the filter comes from the module that
+    ``scipy.signal.lfilter`` imports, and it computes the same bits."""
+    rec = make_record(n=1572, seed=5)
+    expected = filter_and_downsample(rec).channels
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    sigtools = ema._scipy_extension("signal", "_sigtools")
+    assert sigtools is sys.modules["scipy.signal._sigtools"]
+    monkeypatch.setattr(ema, "_linear_filter", sigtools._linear_filter)
+    assert np.array_equal(filter_and_downsample(rec).channels, expected)
 
 
 @pytest.mark.filterwarnings("error")

@@ -7,7 +7,7 @@ from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.linalg import solve_banded
 
 from conftest import one_sided_derivative, random_fseg
-from phonotraj import ema, forward
+from phonotraj import forward
 from phonotraj.alignment import FeaturalSegmentation, Phone, PhoneSegmentation, build_featural
 from phonotraj.forward import (
     DimensionNodes,
@@ -388,25 +388,22 @@ def test_tridiagonal_solve_rejects_a_singular_matrix():
         forward.solve_tridiagonal(ab, np.ones(4))
 
 
-def test_extension_loader_falls_back_to_the_imported_module(monkeypatch):
-    """Where no extension file is found, ``_scipy_extension`` imports the module
-    the usual way, and the routines it gives compute the same bits."""
+def test_moments_without_the_compiled_extension_fall_back_to_solve_banded(monkeypatch):
+    """Where no extension file is found, ``dgtsv`` comes from the module that
+    ``solve_banded`` imports, and the moments come out the same bits."""
     rng = np.random.default_rng(14)
     h, dv = rng.uniform(0.05, 0.3, size=39), rng.normal(size=39)
     ends = [0, 17, 18, 39]  # two dimensions of 18 and 22 nodes
-    expected_moments = forward.moment_system(h, dv, ends)
-    rec = ema.EmaRecord("u", 500, rng.normal(size=(1572, 12)))
-    expected_filtered = ema.filter_and_downsample(rec).channels
+    expected = forward.moment_system(h, dv, ends)
     monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
     flapack = forward._scipy_extension("linalg", "_flapack")
-    sigtools = forward._scipy_extension("signal", "_sigtools")
     assert flapack is sys.modules["scipy.linalg._flapack"]
-    assert sigtools is sys.modules["scipy.signal._sigtools"]
     monkeypatch.setattr(forward, "_flapack", flapack)
-    monkeypatch.setattr(ema, "_linear_filter", sigtools._linear_filter)
     ab, M = forward.moment_system(h, dv, ends)
-    assert np.array_equal(ab, expected_moments[0]) and np.array_equal(M, expected_moments[1])
-    assert np.array_equal(ema.filter_and_downsample(rec).channels, expected_filtered)
+    assert np.array_equal(ab, expected[0]) and np.array_equal(M, expected[1])
+    b = rng.normal(size=ab.shape[1])
+    assert np.array_equal(forward.solve_tridiagonal(ab, b),
+                          solve_banded((1, 1), ab, b, check_finite=False))
 
 
 def test_trajectory_binary_round_trip(tmp_path):
