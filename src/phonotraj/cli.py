@@ -36,8 +36,7 @@ from .ema import (CHANNELS, EMA_READERS, ArticulatorySeries, EmaError, EmaRecord
                   load_ema, project, write_est_track)
 from .forward import ForwardError, InterpMethod, Trajectory, synthesize, synthesize_targets
 from .optimize import OptimConfig, OptimizeError, grid_configs, grid_fields, optimize_targets
-from .phonology import (FeatureTable, FeatureTableError, enrich_with_phonemes,
-                        get_table, load_feature_table)
+from .phonology import FeatureTable, FeatureTableError, get_table, load_feature_table
 from .probe import ProbeError, ScoreReport, aggregate, score, train_probe
 
 log = logging.getLogger(__name__)
@@ -272,16 +271,9 @@ class RunManifest:
 
 
 def resolve_table(cfg: ExperimentConfig) -> FeatureTable:
-    if cfg.feature_set.startswith("custom"):
-        if not cfg.feature_table_path:
-            raise ConfigError("custom feature sets need feature_table_path")
-        path = Path(cfg.dataset_root) / cfg.feature_table_path
-        base_id = cfg.feature_set.removesuffix("_phoneme")
-        table = load_feature_table(path, base_id)
-        if cfg.feature_set.endswith("_phoneme"):
-            table = enrich_with_phonemes(table)
-        return table
-    return get_table(cfg.feature_set)
+    """The config's feature table; a custom table's path is relative to dataset_root."""
+    path = cfg.feature_table_path and Path(cfg.dataset_root) / cfg.feature_table_path
+    return get_table(cfg.feature_set, path)
 
 
 @dataclass
@@ -392,11 +384,15 @@ class Run:
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
+        self.table = resolve_table(cfg)  # a set that cannot work fails before any input is read
+        if (cfg.interp_method is InterpMethod.PIECEWISE_CONSTANT
+                and any(np.isnan(v).any() for v in self.table.vectors.values())):
+            raise ConfigError(f"piecewise-constant requires a fully specified feature set; "
+                              f"{cfg.feature_set} has unknown entries")
         self.out = Path(cfg.out_dir)
         self.cache = Cache(self.out / "cache")
         self.manifest = RunManifest(config=json.loads(json.dumps(asdict(cfg), default=str)),
                                     source_digest=_source_digest())
-        self.table = resolve_table(cfg)
 
     @functools.cached_property
     def input_hash(self) -> dict[str, str]:
@@ -521,11 +517,14 @@ def grid_search(run: Run) -> tuple[OptimConfig, list[dict]]:
     data = run.data
     rows = [run.stage("grid-eval", run.key("grid", cfg.speakers, oc),
                       lambda oc=oc: _grid_point(cfg, data, oc),
+                      (ForwardError, OptimizeError, ProbeError),
                       describe=lambda point: point[1])[0]
             for oc in configs]
     best = configs[int(np.argmax([r["dev_score"] for r in rows]))]
+    unused = {"timing_lr", "position_lr"}.difference(grid_fields(best))  # disabled blocks' rates
     (run.out / "grid.json").write_text(
-        json.dumps({"best": asdict(best), "points": rows}, indent=2, sort_keys=True),
+        json.dumps({"best": {k: v for k, v in asdict(best).items() if k not in unused},
+                    "points": rows}, indent=2, sort_keys=True),
         encoding="utf-8")
     return best, rows
 

@@ -8,14 +8,15 @@ are refined by monotone gradient descent on
 where g is the interpolant through (X', t').  Because g interpolates its own
 targets, the attainment term reduces exactly to the squared offset from the
 original targets, restricted to specified entries.  The curvature integral
-has a closed form: g'' is linear on each segment of the pp-form table of
-``forward.segment_table``, so a segment with coefficients c2, c3 of s^2, s^3
-(s = (tau - t_i) / h) contributes (4 c2^2 + 12 c2 c3 + 12 c3^2) / h^3.
+has a closed form: g'' is linear on each segment, so a segment of length h
+contributes 12 dv^2 / h^3 (Hermite, value step dv) or h/3 (A^2 + A B + B^2)
+(natural cubic, end moments A, B from ``forward.moment_system``).
 
 Gradients are analytic and read the same flat node list as synthesis
 (``forward.flat_nodes``).  The Hermite case is local; the natural-cubic case
-differentiates through the stacked moment system of all dimensions with one
-adjoint solve, which reuses the symmetric matrix of the moment solve.  Both
+differentiates through the stacked moment system T M = r of all dimensions.
+Its adjoint is M / 3 in closed form, because d(energy)/dM = T M / 3 and T is
+symmetric, so a gradient makes one banded solve, the moment solve.  Both
 are validated against central finite differences in the tests.
 
 Boundary rows are frozen (zero positions, fixed timings); unknown entries
@@ -36,8 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .alignment import FeaturalSegmentation
-from .forward import (CUBIC_METHODS, InterpMethod, flat_nodes, moment_system, segment_table,
-                      solve_tridiagonal)
+from .forward import CUBIC_METHODS, InterpMethod, flat_nodes, moment_system
 
 REL_TOL = 1e-6  # a kept step lowers the objective by more than this fraction
 
@@ -116,26 +116,24 @@ class OptimizedTargets:
 
 
 def _curvature_energy(method: InterpMethod, times: np.ndarray, values: np.ndarray,
-                      ends, joins) -> float:
-    """Exact integral of g''(tau)^2 over the segments of a flat node list.
-
-    With g'' = (2 c2 + 6 c3 s) / h^2 on a segment of the pp-form table, the
-    segment contributes (4 c2^2 + 12 c2 c3 + 12 c3^2) / h^3: 12 dv^2 / h^3
-    for Hermite and h/3 (A^2 + A B + B^2) for natural cubic with end
-    curvatures A, B.  The segments ``joins`` join two dimensions (h < 0)
-    and are left out.
+                      ends) -> float:
+    """Exact integral of g''(tau)^2 over the segments of a flat node list:
+    12 dv^2 / h^3 per segment for Hermite and h/3 (A^2 + A B + B^2) for
+    natural cubic with end moments A, B.  A segment joining two dimensions
+    runs between end nodes, whose values and moments are 0, so it adds 0.
     """
     if method not in CUBIC_METHODS:
         raise OptimizeError(f"smoothness objective defined for cubic methods, not {method.value}")
-    h, (_, _, c2, c3) = segment_table(method, times, values, ends)
-    energy = (4.0 * c2 * c2 + 12.0 * c2 * c3 + 12.0 * c3 * c3) / h**3
-    energy[joins] = 0.0
-    return float(np.sum(energy))
+    h, dv = times[1:] - times[:-1], values[1:] - values[:-1]
+    if method is InterpMethod.CUBIC_HERMITE:
+        return float(np.sum(12.0 * dv * dv / h**3))
+    M = moment_system(h, dv, ends)[1]
+    return float(np.sum(h * (M[:-1] ** 2 + M[:-1] * M[1:] + M[1:] ** 2) / 3.0))
 
 
 def smoothness_term(times: np.ndarray, values: np.ndarray, method: InterpMethod) -> float:
     """Exact integral of g''(tau)^2 over the node span of one dimension."""
-    return _curvature_energy(method, times, values, [0, -1], [])
+    return _curvature_energy(method, times, values, [0, -1])
 
 
 def attainment_term(
@@ -160,7 +158,7 @@ def objective_terms(
     method: InterpMethod,
 ) -> tuple[float, float]:
     _, _, times, values, first, last = flat_nodes(t, X, mask)
-    smooth = _curvature_energy(method, times, values, np.concatenate((first, last)), last[:-1])
+    smooth = _curvature_energy(method, times, values, np.concatenate((first, last)))
     return smooth, lam * attainment_term(X, X_orig, mask)
 
 
@@ -204,13 +202,10 @@ def gradients(
         gv[:-1] -= gseg
         gh = -36.0 * dv * dv / h**4  # d(term_i)/d(h_i)
     else:
-        ends = np.concatenate((first, last))
-        ab, M = moment_system(h, dv, ends)
-        # Adjoint solve: T w = d(phi)/dM at the interior nodes; T is symmetric.
-        b = np.zeros(values.size)
-        b[1:-1] = h[:-1] * (M[:-2] + 2.0 * M[1:-1]) / 3.0 + h[1:] * (2.0 * M[1:-1] + M[2:]) / 3.0
-        b[ends] = 0.0
-        w = solve_tridiagonal(ab, b)[1:-1]
+        M = moment_system(h, dv, np.concatenate((first, last)))[1]
+        # The adjoint T w = d(energy)/dM = T M / 3 of the symmetric moment
+        # matrix T needs no solve: w = M / 3 (0 at the end nodes).
+        w = M[1:-1] / 3.0
 
         # Value gradient: w^T dr/dv with r_j = 6*(slope_j - slope_{j-1}).
         gv[2:] += 6.0 * w / h[1:]
@@ -284,7 +279,10 @@ def optimize_targets(
                 t_new = t - cfg.timing_lr * gt
                 if not np.all(np.isfinite(t_new)):
                     break
-                t_new = project_timings(t_new, cfg.min_gap)
+                try:
+                    t_new = project_timings(t_new, cfg.min_gap)
+                except OptimizeError as exc:
+                    raise OptimizeError(f"{fseg.utterance_id}: {exc}") from exc
             new = objective(t_new, X_new, mask, X0, cfg.lam, method)
         if not new < obj * (1.0 - REL_TOL):  # also stops at a NaN objective
             break

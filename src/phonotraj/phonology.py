@@ -1,14 +1,20 @@
 """Phoneme-to-feature-vector encoding.
 
-Five base feature sets are supported, plus enriched variants obtained by
-concatenating a one-hot phoneme block:
+Five shipped and two custom base feature sets are supported, plus enriched
+variants obtained by concatenating a one-hot phoneme block:
 
     gp_binary       26 distinctive features, zero cells mapped to -1
     gp_unknown      26 distinctive features, zero cells kept as unknown
     ap_scalar       8 tract variables, categories mapped to scalars in [0, 1]
     ap_onehot       32 dims, one one-hot group per tract variable
     phoneme_onehot  47 dims, one per inventory label (incl. silence)
-    <base>_phoneme  base + 47 one-hot phoneme dims
+    custom          a table read from a given path, in the {+, -, 0} alphabet
+    custom_binary   the same table with zero cells mapped to -1
+    <base>_phoneme  base + 47 one-hot phoneme dims (not for phoneme_onehot)
+
+``get_table`` is the only resolver of these ids.  Anything else is a
+FeatureTableError, as is a custom id without a table path or a shipped id
+with one.
 
 Feature vectors are float arrays in which *unknown* (context-dependent)
 entries are NaN; everything else is a specified real value.  Silence maps
@@ -30,7 +36,7 @@ SILENCE = "sil"
 
 ENRICH_SUFFIX = "_phoneme"
 
-# Declared dimensions of the base feature sets.
+# Declared dimensions of the shipped base feature sets, and their data files.
 BASE_DIMENSIONS = {
     "gp_binary": 26,
     "gp_unknown": 26,
@@ -38,6 +44,11 @@ BASE_DIMENSIONS = {
     "ap_onehot": 32,
     "phoneme_onehot": 47,
 }
+_SHIPPED_FILES = {"gp_binary": "gp.tsv", "gp_unknown": "gp.tsv",
+                  "ap_scalar": "ap.tsv", "ap_onehot": "ap.tsv"}
+# Bases read from a table the config names, in the GP alphabet at any dimension.
+CUSTOM_SETS = ("custom", "custom_binary")
+
 
 class FeatureTableError(ValueError):
     """Malformed feature-table data or an invalid lookup."""
@@ -90,10 +101,6 @@ class FeatureTable:
         for ph, vec in self.vectors.items():
             if vec.shape != (self.dimension,):
                 raise FeatureTableError(f"{self.set_id}: row for {ph!r} has shape {vec.shape}")
-
-    @property
-    def is_enriched(self) -> bool:
-        return self.set_id.endswith(ENRICH_SUFFIX)
 
 
 def normalize_label(label: str) -> str:
@@ -164,88 +171,76 @@ def _read_rows(path: Path) -> tuple[tuple[str, ...], list[tuple[str, list[str]]]
     return names, rows
 
 
-_GP_ALPHABET = {"+": 1.0, "-": -1.0}
+# The tables read from TSV files: each GP-alphabet table's value for an
+# unknown ('0') cell, and the category-label AP tables.
+_GP_UNKNOWN = {"gp_binary": -1.0, "gp_unknown": math.nan,
+               "custom": math.nan, "custom_binary": -1.0}
+_AP_SETS = ("ap_scalar", "ap_onehot")
+
+
+def _columns(path: Path, set_id: str, header: tuple[str, ...]) -> list[tuple[tuple, dict]]:
+    """Per column of a ``set_id`` table: the names of the dimensions it fills
+    and, for each cell value it accepts, the values of those dimensions."""
+    if set_id in _GP_UNKNOWN:
+        cells = {"+": (1.0,), "-": (-1.0,), "0": (_GP_UNKNOWN[set_id],)}
+        return [((name,), cells) for name in header]
+    scale = load_ap_scale()
+    columns = []
+    for feat in header:
+        if feat not in scale.categories:
+            raise FeatureTableError(f"{path}: feature {feat!r} missing from category scale")
+        cats = scale.categories[feat]
+        if set_id == "ap_scalar":
+            dims, cells = (feat,), {c: (scale.scalar(feat, c),) for c in cats}
+        else:
+            dims = tuple(f"{feat}={c}" for c in cats)
+            cells = {c: tuple(float(i == r) for i in range(len(cats))) for r, c in enumerate(cats)}
+        columns.append((dims, {**cells, "0": (math.nan,) * len(dims)}))
+    return columns
 
 
 def load_feature_table(path: str | Path, set_id: str) -> FeatureTable:
-    """Load and validate a feature table from its TSV file.
+    """Load and validate the ``set_id`` table from its TSV file.
 
-    GP tables use the {+, -, 0} alphabet; AP tables use category labels with
-    '0' marking unknown, resolved against the shipped category scale.
-    ``set_id`` values starting with "custom" accept the GP alphabet at any
-    dimension (used by the synthetic-data generator) and define their own
-    inventory; the others must cover the shipped inventory.  The silence row
-    is always generated, never read: silence is the all-zero vector.
+    GP-alphabet tables (gp_binary, gp_unknown, custom, custom_binary) use
+    {+, -, 0}; the *_binary ones read '0' as -1, the others as unknown.  AP
+    tables (ap_scalar, ap_onehot) use category labels with '0' marking
+    unknown, resolved against the shipped category scale.  One row loop reads
+    them all: each column fills one dimension, or one one-hot group.  The
+    custom tables may have any dimension and define their own inventory; the
+    others must cover the shipped inventory.  The silence row is always
+    generated, never read: silence is the all-zero vector.
     """
     path = Path(path)
-    if set_id.startswith("gp_") or set_id.startswith("custom"):
-        names, rows = _read_rows(path)
-        unknown_as = -1.0 if "binary" in set_id else math.nan
-        vectors = {}
-        for ph, values in rows:
-            vec = np.empty(len(names))
-            for j, v in enumerate(values):
-                if v == "0":
-                    vec[j] = unknown_as
-                elif v in _GP_ALPHABET:
-                    vec[j] = _GP_ALPHABET[v]
-                else:
-                    raise FeatureTableError(
-                        f"{path}: value {v!r} for {ph!r} not in {{+,-,0}}"
-                    )
-            vectors[ph] = vec
-        groups: tuple[tuple[int, ...], ...] = ()
-    elif set_id in ("ap_scalar", "ap_onehot"):
-        scale = load_ap_scale()
-        names_in, rows = _read_rows(path)
-        for feat in names_in:
-            if feat not in scale.categories:
-                raise FeatureTableError(f"{path}: feature {feat!r} missing from category scale")
-        if set_id == "ap_scalar":
-            names = names_in
-            vectors = {}
-            for ph, values in rows:
-                vec = np.empty(len(names))
-                for j, v in enumerate(values):
-                    vec[j] = math.nan if v == "0" else scale.scalar(names_in[j], v)
-                vectors[ph] = vec
-            groups = ()
-        else:
-            names_list: list[str] = []
-            group_list: list[tuple[int, ...]] = []
-            for feat in names_in:
-                cats = scale.categories[feat]
-                group_list.append(tuple(range(len(names_list), len(names_list) + len(cats))))
-                names_list.extend(f"{feat}={c}" for c in cats)
-            names = tuple(names_list)
-            vectors = {}
-            for ph, values in rows:
-                vec = np.zeros(len(names))
-                for feat, group, v in zip(names_in, group_list, values):
-                    if v == "0":
-                        vec[list(group)] = math.nan
-                    else:
-                        vec[group[scale.rank(feat, v)]] = 1.0
-                vectors[ph] = vec
-            groups = tuple(group_list)
-    else:
+    if set_id not in _GP_UNKNOWN and set_id not in _AP_SETS:
         raise FeatureTableError(f"unsupported set_id {set_id!r} for TSV loading")
-
+    header, rows = _read_rows(path)
+    columns = _columns(path, set_id, header)
+    vectors = {}
+    for ph, values in rows:
+        row: list[float] = []
+        for (_, cells), v in zip(columns, values):
+            if v not in cells:
+                raise FeatureTableError(
+                    f"{path}: value {v!r} for {ph!r} not in {{{', '.join(cells)}}}")
+            row += cells[v]
+        vectors[ph] = np.array(row)
+    names, groups = [], []
+    for dims, _ in columns:
+        if len(dims) > 1:  # a one-hot group
+            groups.append(tuple(range(len(names), len(names) + len(dims))))
+        names += dims
     vectors[SILENCE] = np.zeros(len(names))
-    declared = BASE_DIMENSIONS.get(set_id)
-    if declared is not None and len(names) != declared:
+    if len(names) != BASE_DIMENSIONS.get(set_id, len(names)):
         raise FeatureTableError(
-            f"{set_id}: table has {len(names)} dimensions, expected {declared}"
-        )
-    if set_id.startswith("custom"):
-        # Custom tables define their own inventory; silence is appended.
-        inventory = tuple(ph for ph, _ in rows) + (SILENCE,)
-    else:
-        inventory = load_inventory()
+            f"{set_id}: table has {len(names)} dimensions, expected {BASE_DIMENSIONS[set_id]}")
+    # A custom table defines its own inventory, silence appended.
+    inventory = (tuple(ph for ph, _ in rows) + (SILENCE,) if set_id in CUSTOM_SETS
+                 else load_inventory())
     missing = [ph for ph in inventory if ph not in vectors]
     if missing:
         raise FeatureTableError(f"{path}: inventory labels missing from table: {missing}")
-    return FeatureTable(set_id, len(names), tuple(names), vectors, inventory, groups)
+    return FeatureTable(set_id, len(names), tuple(names), vectors, inventory, tuple(groups))
 
 
 def build_phoneme_onehot(inventory: tuple[str, ...] | None = None) -> FeatureTable:
@@ -253,18 +248,14 @@ def build_phoneme_onehot(inventory: tuple[str, ...] | None = None) -> FeatureTab
     if inventory is None:
         inventory = load_inventory()
     d = len(inventory)
-    vectors = {}
-    for idx, ph in enumerate(inventory):
-        vec = np.zeros(d)
-        vec[idx] = 1.0
-        vectors[ph] = vec
+    vectors = dict(zip(inventory, np.eye(d)))
     names = tuple(f"ph={p}" for p in inventory)
     return FeatureTable("phoneme_onehot", d, names, vectors, inventory, (tuple(range(d)),))
 
 
 def enrich_with_phonemes(base: FeatureTable) -> FeatureTable:
     """Concatenate a one-hot phoneme block to every row of ``base``."""
-    if base.is_enriched or base.set_id == "phoneme_onehot":
+    if base.set_id.endswith(ENRICH_SUFFIX) or base.set_id == "phoneme_onehot":
         raise FeatureTableError(f"cannot enrich feature set {base.set_id!r}")
     onehot = build_phoneme_onehot(base.inventory)
     vectors = {
@@ -283,17 +274,25 @@ def enrich_with_phonemes(base: FeatureTable) -> FeatureTable:
     )
 
 
-def get_table(set_id: str) -> FeatureTable:
-    """Load one of the shipped feature sets by id (enriched ids included)."""
-    if set_id.endswith(ENRICH_SUFFIX):
-        return enrich_with_phonemes(get_table(set_id[: -len(ENRICH_SUFFIX)]))
-    if set_id == "phoneme_onehot":
+def get_table(set_id: str, table_path: str | Path | None = None) -> FeatureTable:
+    """The feature table of ``set_id``: a base id, optionally followed by
+    ``_phoneme`` (every base but phoneme_onehot).  A shipped base is read from
+    the package data and takes no ``table_path``; a custom base (custom,
+    custom_binary) is read from ``table_path``, which it needs."""
+    base = set_id.removesuffix(ENRICH_SUFFIX)
+    if (base not in BASE_DIMENSIONS and base not in CUSTOM_SETS
+            or set_id == "phoneme_onehot" + ENRICH_SUFFIX):
+        raise FeatureTableError(
+            f"unknown feature set {set_id!r}: the bases are {', '.join(BASE_DIMENSIONS)} and "
+            f"{', '.join(CUSTOM_SETS)}, each but phoneme_onehot optionally with {ENRICH_SUFFIX}")
+    if (base in CUSTOM_SETS) != bool(table_path):
+        raise FeatureTableError(f"feature set {set_id!r} " + (
+            "is custom and needs a feature_table_path" if base in CUSTOM_SETS
+            else "is shipped and takes no feature_table_path"))
+    if base == "phoneme_onehot":
         return build_phoneme_onehot()
-    if set_id in ("gp_binary", "gp_unknown"):
-        return load_feature_table(_data_path("gp.tsv"), set_id)
-    if set_id in ("ap_scalar", "ap_onehot"):
-        return load_feature_table(_data_path("ap.tsv"), set_id)
-    raise FeatureTableError(f"unknown feature set {set_id!r}")
+    table = load_feature_table(table_path or _data_path(_SHIPPED_FILES[base]), base)
+    return enrich_with_phonemes(table) if base != set_id else table
 
 
 def encode_target(table: FeatureTable, phoneme: str) -> np.ndarray:

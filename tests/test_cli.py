@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -300,11 +301,39 @@ def test_noise_degrades_score_monotonically(tmp_path):
     assert 0.0 < scores[2] < 1.0
 
 
-def test_piecewise_constant_rejected_on_underspecified_set(synth_root, tmp_path):
+def test_piecewise_constant_rejected_on_underspecified_set(synth_root, tmp_path, monkeypatch):
     cfg = synthetic_config(synth_root, method="piecewise_constant",
                            out_dir=str(tmp_path / "pc"))
+    # rejected while the Run is built, before any speaker is prepared
+    monkeypatch.setattr(cli, "prepare_speaker", lambda *a: pytest.fail("prepared a speaker"))
     with pytest.raises(ConfigError, match="fully specified"):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("command", ["ingest", "synth", "optimize", "probe", "grid", "run",
+                                     "plot"])
+@pytest.mark.parametrize("fields, message", [
+    ({"feature_set": "custom_phonemes"}, "unknown feature set 'custom_phonemes'"),
+    ({"feature_set": "customized"}, "unknown feature set 'customized'"),
+    ({"feature_set": "gp_unknown"}, "takes no feature_table_path"),
+    ({"feature_table_path": None}, "needs a feature_table_path"),
+    ({"method": "piecewise_constant"}, "fully specified"),
+])
+def test_set_that_cannot_work_rejected_before_any_input_is_read(tiny_root, tmp_path, monkeypatch,
+                                                                capsys, command, fields,
+                                                                message):
+    # "custom_phonemes" used to load the plain custom table, a shipped set
+    # ignored its feature_table_path and piecewise_constant on a table with
+    # unknown entries failed in score/<spk>, after every speaker was prepared
+    cfg = replace(synthetic_config(tiny_root, utterances=14, speakers=1,
+                                   out_dir=str(tmp_path / "out")), **fields)
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg.to_json(), encoding="utf-8")
+    monkeypatch.setattr(cli, "prepare_speaker", lambda *a: pytest.fail("prepared a speaker"))
+    extra = ["--svg", str(tmp_path / "t.svg")] if command == "plot" else []
+    assert cli.main([command, "--config", str(path)] + extra) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +399,19 @@ def test_grid_uses_config_min_gap(tiny_root, tmp_path, monkeypatch):
     assert grid["best"]["min_gap"] == 0.005
 
 
+def test_failing_grid_point_names_its_stage_and_utterance(tiny_root, tmp_path, capsys):
+    # a min_gap too wide for an utterance's span used to print only the span
+    cfg = replace(small_grid_cfg(tiny_root, tmp_path, lambdas=[1e3], timing_lrs=[1e-5],
+                                 position_lrs=[1e-2]), min_gap=0.5)
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg.to_json(), encoding="utf-8")
+    assert cli.main(["grid", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    match = re.search(r"stage grid-eval failed: (spk00_\d{3}): span .* cannot fit", err)
+    assert match, err
+    assert (Path(tiny_root) / "spk00" / f"{match[1]}.lab").is_file()
+
+
 def test_grid_eval_records_each_points_own_time(tiny_root, tmp_path, monkeypatch):
     cfg = small_grid_cfg(tiny_root, tmp_path, timing_lrs=[1e-5], position_lrs=[1e-2],
                          lambdas=[0.0, 1e3, 1e4])
@@ -429,6 +471,7 @@ def test_grid_lists_only_the_axes_it_searched(tiny_root, tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "best: lambda=1000.0 position_lr=0.01"
     grid = json.loads((Path(cfg.out_dir) / "grid.json").read_text())
     assert [set(p) for p in grid["points"]] == [{"position_lr", "lambda", "dev_score"}]
+    assert "timing_lr" not in grid["best"] and grid["best"]["position_lr"] == 1e-2
     manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
     [point] = [s for s in manifest["stages"] if s["stage"] == "grid-eval"]
     assert "timing_lr" not in point and (point["lam"], point["position_lr"]) == (1e3, 1e-2)

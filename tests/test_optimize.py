@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from conftest import gradient_check, random_fseg
-from phonotraj import forward, optimize
+from phonotraj import forward
 from phonotraj.alignment import FeaturalSegmentation
 from phonotraj.forward import (DimensionNodes, InterpMethod, interpolate,
                                second_derivative)
@@ -119,12 +120,11 @@ def test_objective_matches_scipy_spline_energy():
             assert smooth == pytest.approx(scipy_smoothness(t, X, m), rel=1e-9)
 
 
-def test_one_banded_solve_per_objective_and_two_per_gradient(monkeypatch):
-    solves = []
-    for module in (forward, optimize):
-        monkeypatch.setattr(module, "solve_tridiagonal",
-                            lambda *a, _real=module.solve_tridiagonal, **kw:
-                            solves.append(1) or _real(*a, **kw))
+def test_one_banded_solve_per_objective_and_per_gradient(monkeypatch):
+    # the gradient's adjoint is M / 3 in closed form: its only solve is the moments'
+    solves, lapack = [], forward._flapack
+    monkeypatch.setattr(forward, "_flapack", SimpleNamespace(
+        dgtsv=lambda *a: solves.append(1) or lapack.dgtsv(*a)))
     fseg = random_fseg(np.random.default_rng(13), k=10, d=12, unknown_prob=0.4)
     assert np.unique(fseg.specified, axis=1).shape[1] > 1  # several node masks
     args = (fseg.t, fseg.X, fseg.specified, fseg.X, 1e3, N)
@@ -132,7 +132,7 @@ def test_one_banded_solve_per_objective_and_two_per_gradient(monkeypatch):
     assert len(solves) == 1
     solves.clear()
     gradients(*args)
-    assert len(solves) == 2
+    assert len(solves) == 1
 
 
 def test_smoothness_rejects_non_cubic():

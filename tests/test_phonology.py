@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference_phonology as reference
 from phonotraj.phonology import (
     FeatureTableError,
     build_phoneme_onehot,
@@ -199,3 +200,75 @@ def test_declared_dimension_enforced(tmp_path):
     short.write_text(header + "\n" + row + "\n", encoding="utf-8")
     with pytest.raises(FeatureTableError, match="expected 26"):
         load_feature_table(short, "gp_unknown")
+
+
+# ---------------------------------------------------------------------------
+# one grammar of set ids, one row loop: the tables equal the reference loader's
+# ---------------------------------------------------------------------------
+
+SHIPPED_IDS = sorted(BASE_DIMS) + [f"{b}_phoneme" for b in sorted(BASE_DIMS)
+                                   if b != "phoneme_onehot"]
+CUSTOM_IDS = ["custom", "custom_binary", "custom_phoneme", "custom_binary_phoneme"]
+
+
+def assert_same_table(table, expected):
+    assert (table.set_id, table.dimension, table.names) == (
+        expected.set_id, expected.dimension, expected.names)
+    assert table.groups == expected.groups
+    assert table.inventory == expected.inventory
+    assert list(table.vectors) == list(expected.vectors)
+    for label, vec in expected.vectors.items():
+        assert table.vectors[label].dtype == vec.dtype
+        assert table.vectors[label].tobytes() == vec.tobytes(), label
+
+
+@pytest.fixture
+def custom_tsv(tmp_path):
+    path = tmp_path / "features.tsv"
+    path.write_text("phoneme\tf0\tf1\tf2\nph00\t+\t0\t-\nph01\t0\t-\t+\nph02\t-\t+\t0\n",
+                    encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("set_id", SHIPPED_IDS)
+def test_shipped_tables_equal_the_reference_loader(set_id):
+    assert len(SHIPPED_IDS) == 9
+    assert_same_table(get_table(set_id), reference.get_table(set_id))
+
+
+@pytest.mark.parametrize("set_id", CUSTOM_IDS)
+def test_custom_tables_equal_the_reference_loader(custom_tsv, set_id):
+    assert_same_table(get_table(set_id, custom_tsv), reference.custom_table(set_id, custom_tsv))
+
+
+def test_custom_binary_maps_zero_to_minus_one(custom_tsv):
+    plain, binary = get_table("custom", custom_tsv), get_table("custom_binary", custom_tsv)
+    assert np.isnan(plain.vectors["ph00"][1]) and binary.vectors["ph00"][1] == -1.0
+    for label, vec in plain.vectors.items():
+        np.testing.assert_array_equal(binary.vectors[label], np.where(np.isnan(vec), -1.0, vec))
+
+
+def test_custom_phoneme_is_the_enriched_custom_table(custom_tsv):
+    assert_same_table(get_table("custom_phoneme", custom_tsv),
+                      enrich_with_phonemes(get_table("custom", custom_tsv)))
+
+
+@pytest.mark.parametrize("set_id, with_path, message", [
+    ("custom_phonemes", True, "unknown feature set 'custom_phonemes'"),
+    ("customized", True, "unknown feature set 'customized'"),
+    ("custom_phoneme_phoneme", True, "unknown feature set"),
+    ("phoneme_onehot_phoneme", False, "unknown feature set"),
+    ("gp_unknown", True, "is shipped and takes no feature_table_path"),
+    ("phoneme_onehot", True, "is shipped and takes no feature_table_path"),
+    ("custom", False, "is custom and needs a feature_table_path"),
+    ("custom_binary_phoneme", False, "is custom and needs a feature_table_path"),
+])
+def test_set_ids_outside_the_grammar_rejected(custom_tsv, set_id, with_path, message):
+    with pytest.raises(FeatureTableError, match=message):
+        get_table(set_id, custom_tsv if with_path else None)
+
+
+def test_tsv_loading_takes_base_ids_only(custom_tsv):
+    for set_id in ("custom_phoneme", "customized", "gp_foo", "phoneme_onehot"):
+        with pytest.raises(FeatureTableError, match="unsupported set_id"):
+            load_feature_table(custom_tsv, set_id)
