@@ -31,11 +31,12 @@ from . import __version__
 from .alignment import (ALIGNMENT_READERS, AlignmentError, FeaturalSegmentation, Phone,
                         PhoneSegmentation, build_featural, parse_alignment,
                         trim_and_filter)
-from .ema import (CHANNELS, EMA_READERS, ArticulatorySeries, EmaError, EmaRecord,
-                  align_frames, filter_and_downsample, fit_guided_pca,
+from .ema import (CHANNELS, EMA_READERS, GROUPS, LI, LL_Y, PARAMETERS, ArticulatorySeries,
+                  EmaError, EmaRecord, align_frames, filter_and_downsample, fit_guided_pca,
                   load_ema, project, write_est_track)
 from .forward import ForwardError, InterpMethod, Trajectory, synthesize, synthesize_targets
-from .optimize import OptimConfig, OptimizeError, grid_configs, grid_fields, optimize_targets
+from .optimize import (GRID_AXES, OptimConfig, OptimizeError, grid_configs, grid_fields,
+                       optimize_targets)
 from .phonology import FeatureTable, FeatureTableError, get_table, load_feature_table
 from .probe import ProbeError, ScoreReport, aggregate, score, train_probe
 
@@ -46,6 +47,12 @@ REPLICATION_SPLITS = (390, 20, 50)  # train (without dev), dev, test
 
 class ConfigError(ValueError):
     """Invalid experiment configuration or dataset layout."""
+
+
+# The errors the package raises for bad input: a stage turns them into a
+# ConfigError that names it, and ``main`` reports them with exit code 1.
+INPUT_ERRORS = (FeatureTableError, AlignmentError, EmaError, ForwardError, OptimizeError,
+                ProbeError)
 
 
 def _is_int(value) -> bool:
@@ -400,12 +407,13 @@ class Run:
         table_digest = _table_digest(self.table)
         return {s: _speaker_input_hash(self.cfg, table_digest, s) for s in self.cfg.speakers}
 
-    def stage(self, name: str, key: str, compute, errors=(), describe=None):
+    def stage(self, name: str, key: str, compute, describe=None):
         """The cached value under ``key``, or ``compute()`` stored there.
 
         Records one manifest entry with the stage's own time, whether it was
-        cached and the fields ``describe(value)`` returns.  The ``errors``
-        that ``compute`` raises become a ConfigError naming the stage.
+        cached and the fields ``describe(value)`` returns.  An input error
+        (``INPUT_ERRORS``) that ``compute`` raises becomes a ConfigError
+        naming the stage.
         """
         t0 = time.perf_counter()
         value = self.cache.get(key)
@@ -413,7 +421,7 @@ class Run:
         if not cached:
             try:
                 value = compute()
-            except errors as exc:
+            except INPUT_ERRORS as exc:
                 raise ConfigError(f"stage {name} failed: {exc}") from exc
             self.cache.put(key, value)
         self.manifest.stages.append({
@@ -433,8 +441,7 @@ class Run:
     def prepare(self, speaker: str) -> SpeakerData:
         key = "prep-" + _hash_bytes(self.input_hash[speaker].encode(), speaker.encode())
         return self.stage(f"prepare/{speaker}", key,
-                          lambda: prepare_speaker(self.cfg, self.table, speaker),
-                          (AlignmentError, EmaError, FeatureTableError))
+                          lambda: prepare_speaker(self.cfg, self.table, speaker))
 
     @functools.cached_property
     def data(self) -> list[SpeakerData]:
@@ -517,11 +524,11 @@ def grid_search(run: Run) -> tuple[OptimConfig, list[dict]]:
     data = run.data
     rows = [run.stage("grid-eval", run.key("grid", cfg.speakers, oc),
                       lambda oc=oc: _grid_point(cfg, data, oc),
-                      (ForwardError, OptimizeError, ProbeError),
                       describe=lambda point: point[1])[0]
             for oc in configs]
     best = configs[int(np.argmax([r["dev_score"] for r in rows]))]
-    unused = {"timing_lr", "position_lr"}.difference(grid_fields(best))  # disabled blocks' rates
+    # the grid's fields it did not search: a disabled block's rate
+    unused = {name for name, _, _ in GRID_AXES.values()}.difference(grid_fields(best))
     (run.out / "grid.json").write_text(
         json.dumps({"best": {k: v for k, v in asdict(best).items() if k not in unused},
                     "points": rows}, indent=2, sort_keys=True),
@@ -537,8 +544,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[ScoreReport, RunManifest]:
     if cfg.wants_optimization:
         optim, _ = grid_search(run)
     rows = [run.stage(f"score/{d.speaker}", run.key("score", [d.speaker], optim),
-                      lambda d=d: _speaker_score(d, cfg, optim, "test")[0],
-                      (ForwardError, OptimizeError, ProbeError))
+                      lambda d=d: _speaker_score(d, cfg, optim, "test")[0])
             for d in data]
     report = aggregate(np.vstack(rows), tuple(cfg.speakers))
     (run.out / "report.csv").write_text(report.to_csv(), encoding="utf-8")
@@ -559,29 +565,29 @@ def generate_synthetic(
     dim: int = 10,
     seed: int = 0,
     noise: float = 0.0,
-    phones: int = 12,
-    unknown_fraction: float = 0.2,
 ) -> Path:
     """Write a synthetic dataset whose articulatory parameters are an exact
     affine image of the linear-interpolation trajectory.
 
-    Phone durations land on the 10 ms frame grid so EMA frames and trajectory
-    frames align exactly; EMA channels embed the 6 parameters through a fixed
+    The feature table has 12 phones, each entry unknown with probability
+    0.2.  Phone durations land on the 10 ms frame grid so EMA frames and
+    trajectory frames align exactly.  EMA channels embed the 6 parameters by
+    ``ema``'s own coil layout (``LI``, ``GROUPS``, ``LL_Y``), through a fixed
     full-rank linear map per speaker, which guided PCA inverts up to an
     affine change of basis the probe absorbs.
     """
-    if speakers < 1 or utterances < 1 or dim < 1 or phones < 1:
-        raise ConfigError("speakers, utterances, dim and phones must be >= 1")
+    if speakers < 1 or utterances < 1 or dim < 1:
+        raise ConfigError("speakers, utterances and dim must be >= 1")
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
 
-    labels = [f"ph{i:02d}" for i in range(phones)]
+    labels = [f"ph{i:02d}" for i in range(12)]
     rows = []
     for ph in labels:
         symbols = []
         for _ in range(dim):
-            if rng.random() < unknown_fraction:
+            if rng.random() < 0.2:
                 symbols.append("0")
             else:
                 symbols.append("+" if rng.random() < 0.5 else "-")
@@ -598,12 +604,11 @@ def generate_synthetic(
     # convention, so the fitted model reproduces them exactly.
     jaw_axis = np.array([0.6, 0.8])
     group_axes = {
-        "tb": np.array([0.8, -0.6]),
-        "td": np.array([-0.6, 0.8]),
-        "tt": np.array([0.8, 0.6]),
-        "ul": np.array([4.0, 1.0]) / np.sqrt(17.0),
+        "tongue_body": np.array([0.8, -0.6]),
+        "tongue_dorsum": np.array([-0.6, 0.8]),
+        "tongue_tip": np.array([0.8, 0.6]),
+        "lip_protrusion": np.array([4.0, 1.0]) / np.sqrt(17.0),
     }
-    idx = {name: i for i, name in enumerate(CHANNELS)}
 
     for s in range(speakers):
         speaker = f"spk{s:02d}"
@@ -649,21 +654,17 @@ def generate_synthetic(
             if noise > 0:
                 params = params + rng.normal(0.0, noise, size=params.shape)
 
-            channels = np.tile(offsets, (n_total, 1))
+            # The jaw moves the incisor coil along its axis and every other
+            # coil by beta; parameters 1-4 move their group's coil along its
+            # axis and lip height moves ll_y.
             jaw = params[:, 0]
-            channels[:, idx["li_x"]] += jaw * jaw_axis[0]
-            channels[:, idx["li_y"]] += jaw * jaw_axis[1]
-            for gi, g in enumerate(("tb", "td", "tt"), start=1):
-                ax = group_axes[g]
-                channels[:, idx[f"{g}_x"]] += beta[idx[f"{g}_x"]] * jaw + params[:, gi] * ax[0]
-                channels[:, idx[f"{g}_y"]] += beta[idx[f"{g}_y"]] * jaw + params[:, gi] * ax[1]
-            ax = group_axes["ul"]
-            channels[:, idx["ul_x"]] += beta[idx["ul_x"]] * jaw + params[:, 4] * ax[0]
-            channels[:, idx["ul_y"]] += beta[idx["ul_y"]] * jaw + params[:, 4] * ax[1]
-            channels[:, idx["ll_x"]] += beta[idx["ll_x"]] * jaw
-            channels[:, idx["ll_y"]] += beta[idx["ll_y"]] * jaw + params[:, 5]
+            moves = beta * jaw[:, None]
+            moves[:, LI] = jaw[:, None] * jaw_axis
+            for col, name in enumerate(PARAMETERS[1:5], start=1):
+                moves[:, GROUPS[name]] += params[:, [col]] * group_axes[name]
+            moves[:, LL_Y] += params[:, 5]
             write_est_track(spk_dir / f"{utt}.ema",
-                            EmaRecord(utt, 100, channels))
+                            EmaRecord(utt, 100, offsets + moves))
     return root
 
 
@@ -883,8 +884,7 @@ def main(argv=None) -> int:
             args.fn(run, args)
             run.write_manifest()
         return 0
-    except (ConfigError, FeatureTableError, AlignmentError, EmaError,
-            ForwardError, OptimizeError, ProbeError) as exc:
+    except (ConfigError, *INPUT_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -326,15 +326,16 @@ def _first_axis(cov: np.ndarray) -> np.ndarray:
     return axis
 
 
-_GROUPS = {  # parameter -> [x channel, y channel] column indices
+# The coil layout of the decomposition; generate_synthetic embeds parameters by it.
+GROUPS = {  # parameter -> [x channel, y channel] column indices
     "tongue_body": [CHANNELS.index("tb_x"), CHANNELS.index("tb_y")],
     "tongue_dorsum": [CHANNELS.index("td_x"), CHANNELS.index("td_y")],
     "tongue_tip": [CHANNELS.index("tt_x"), CHANNELS.index("tt_y")],
     "lip_protrusion": [CHANNELS.index("ul_x"), CHANNELS.index("ul_y")],
 }
-_LI = [CHANNELS.index("li_x"), CHANNELS.index("li_y")]
-_UL_Y = CHANNELS.index("ul_y")
-_LL_Y = CHANNELS.index("ll_y")
+LI = [CHANNELS.index("li_x"), CHANNELS.index("li_y")]  # the jaw's coil
+UL_Y = CHANNELS.index("ul_y")
+LL_Y = CHANNELS.index("ll_y")
 
 
 @dataclass(frozen=True)
@@ -382,27 +383,27 @@ def fit_guided_pca(records: list[EmaRecord]) -> GuidedPcaModel:
         S += centered.T @ centered
     S /= n
     var = np.diag(S)
-    for name, (cx, cy) in [("lower_incisor", _LI), *_GROUPS.items()]:
+    for name, (cx, cy) in [("lower_incisor", LI), *GROUPS.items()]:
         if var[cx] + var[cy] < 1e-12:
             raise EmaError(f"degenerate covariance: coil pair {name} never moves")
 
-    jaw_axis = _first_axis(S[np.ix_(_LI, _LI)])
-    jaw_var = jaw_axis @ S[np.ix_(_LI, _LI)] @ jaw_axis
+    jaw_axis = _first_axis(S[np.ix_(LI, LI)])
+    jaw_var = jaw_axis @ S[np.ix_(LI, LI)] @ jaw_axis
     if jaw_var < 1e-12:
         raise EmaError("degenerate covariance: jaw parameter has no variance")
-    jaw_coef = S[:, _LI] @ jaw_axis / jaw_var
-    jaw_coef[_LI] = 0.0
+    jaw_coef = S[:, LI] @ jaw_axis / jaw_var
+    jaw_coef[LI] = 0.0
     residual_cov = S - jaw_var * np.outer(jaw_coef, jaw_coef)
-    axes = {name: _first_axis(residual_cov[np.ix_(cols, cols)]) for name, cols in _GROUPS.items()}
+    axes = {name: _first_axis(residual_cov[np.ix_(cols, cols)]) for name, cols in GROUPS.items()}
 
     # Each parameter after the jaw loads the residuals x - jaw·jaw_coef with
     # jaw = x[li]·jaw_axis, so its jaw regression folds onto the incisor rows.
     matrix = np.zeros((len(CHANNELS), 6))
     for col, name in enumerate(PARAMETERS[1:5], start=1):
-        matrix[_GROUPS[name], col] = axes[name]
-    matrix[[_LL_Y, _UL_Y], 5] = (1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0))
-    matrix[_LI] -= np.outer(jaw_axis, jaw_coef @ matrix)
-    matrix[_LI, 0] = jaw_axis
+        matrix[GROUPS[name], col] = axes[name]
+    matrix[[LL_Y, UL_Y], 5] = (1.0 / np.sqrt(2.0), -1.0 / np.sqrt(2.0))
+    matrix[LI] -= np.outer(jaw_axis, jaw_coef @ matrix)
+    matrix[LI, 0] = jaw_axis
 
     z_std = np.sqrt(np.diag(matrix.T @ S @ matrix))
     if np.any(z_std < 1e-12):

@@ -63,9 +63,6 @@ class InterpMethod(Enum):
         return self in (InterpMethod.CUBIC_HERMITE, InterpMethod.NATURAL_CUBIC)
 
 
-CUBIC_METHODS = (InterpMethod.CUBIC_HERMITE, InterpMethod.NATURAL_CUBIC)
-
-
 @dataclass(frozen=True)
 class DimensionNodes:
     """Interpolation nodes of one feature dimension.
@@ -209,17 +206,16 @@ def solve_tridiagonal(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def moment_system(h: np.ndarray, dv: np.ndarray, ends) -> tuple[np.ndarray, np.ndarray]:
-    """The natural-cubic moment system of a flat node list and its solution.
+def moment_system(h: np.ndarray, dv: np.ndarray, ends) -> np.ndarray:
+    """The natural-cubic moments of a flat node list.
 
     ``h`` and ``dv`` are the segment lengths and value steps and ``ends``
     indexes every dimension's first and last node.  Each dimension's
     tridiagonal system is stacked with zero coupling between dimensions, in
     the ``solve_banded((1, 1), ...)`` layout that ``solve_tridiagonal``
-    takes; the matrix is symmetric.  An end
-    node's row is M = 0, so LAPACK's ``gtsv`` never pivots across it and
-    eliminates with multiplier 0: each dimension gets the moments its own
-    system would give.  Returns the banded matrix and the moments.
+    takes; the matrix is symmetric.  An end node's row is M = 0, so LAPACK's
+    ``gtsv`` never pivots across it and eliminates with multiplier 0: each
+    dimension gets the moments its own system would give.
     """
     inner = np.ones(h.size + 1, dtype=bool)
     inner[ends] = False
@@ -230,7 +226,7 @@ def moment_system(h: np.ndarray, dv: np.ndarray, ends) -> tuple[np.ndarray, np.n
     r = np.zeros(h.size + 1)
     r[1:-1] = np.where(inner[1:-1], 6.0 * np.diff(dv / h), 0.0)
     # Callers check what they compute from the moments for non-finite values.
-    return ab, solve_tridiagonal(ab, r)
+    return solve_tridiagonal(ab, r)
 
 
 def segment_table(method: InterpMethod, times: np.ndarray, values: np.ndarray,
@@ -249,7 +245,7 @@ def segment_table(method: InterpMethod, times: np.ndarray, values: np.ndarray,
         return h, (values, dv)
     if method is InterpMethod.CUBIC_HERMITE:
         return h, (values, None, 3.0 * dv, -2.0 * dv)
-    M = moment_system(h, dv, ends)[1]
+    M = moment_system(h, dv, ends)
     hh, Ma, Mb = h * h, M[:-1], M[1:]
     return h, (values, dv - hh * (2.0 * Ma + Mb) / 6.0, hh * Ma / 2.0, hh * (Mb - Ma) / 6.0)
 
@@ -317,7 +313,7 @@ def second_derivative(nodes: DimensionNodes, method: InterpMethod, tau) -> float
     At interior knots of the Hermite spline the curvature is discontinuous;
     the value of the right-hand segment is returned there.
     """
-    if method not in CUBIC_METHODS:
+    if not method.is_cubic:
         raise ForwardError(f"second derivative undefined for {method.value}")
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
     _check_range(nodes.times, taus)
@@ -330,23 +326,24 @@ def _trajectory(
     utterance_id: str,
     t: np.ndarray,
     X: np.ndarray,
-    specified: np.ndarray,
     method: InterpMethod,
     frame_rate: float,
     Y: np.ndarray | None = None,
 ) -> Trajectory:
-    """Evaluate one flat segment table of all dimensions on the frame grid."""
+    """Evaluate one flat segment table of all dimensions on the frame grid;
+    the NaN entries of ``X`` have no node."""
     taus = frame_times(float(t[-1]), frame_rate)
     if taus.size == 0:
         raise ForwardError(f"{utterance_id}: utterance shorter than one frame")
     if method is InterpMethod.PIECEWISE_CONSTANT:
         frames = _piecewise_constant(Y, X, taus)
     else:
-        rows, dims, times, values, first, last = flat_nodes(t, X, specified)
+        mask = _node_mask(~np.isnan(X))
+        rows, dims, times, values, first, last = flat_nodes(t, X, mask)
         h, table = segment_table(method, times, values, np.concatenate((first, last)))
         # Flat segment of each (row, dim), clipped to the dimension's own
         # segments; then one row gather by the row that holds each frame.
-        seg = np.minimum(np.cumsum(_node_mask(specified), axis=0) - 1 + first, last - 1)
+        seg = np.minimum(np.cumsum(mask, axis=0) - 1 + first, last - 1)
         row = np.maximum(np.searchsorted(t, taus, side="right") - 1, 0)
         idx = seg[row]
         frames = _horner(table, idx, (taus[:, None] - times.take(idx)) / h.take(idx))
@@ -365,8 +362,7 @@ def synthesize(
         raise ForwardError(
             f"{fseg.utterance_id}: piecewise-constant requires a fully specified feature set"
         )
-    return _trajectory(fseg.utterance_id, fseg.t, fseg.X, fseg.specified, method,
-                       frame_rate, fseg.Y)
+    return _trajectory(fseg.utterance_id, fseg.t, fseg.X, method, frame_rate, fseg.Y)
 
 
 def synthesize_targets(
@@ -383,4 +379,4 @@ def synthesize_targets(
     """
     if method is InterpMethod.PIECEWISE_CONSTANT:
         raise ForwardError("piecewise-constant needs a featural segmentation with intervals")
-    return _trajectory(utterance_id, t, X, ~np.isnan(X), method, frame_rate)
+    return _trajectory(utterance_id, t, X, method, frame_rate)

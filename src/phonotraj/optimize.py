@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .alignment import FeaturalSegmentation
-from .forward import CUBIC_METHODS, InterpMethod, flat_nodes, moment_system
+from .forward import InterpMethod, flat_nodes, moment_system
 
 REL_TOL = 1e-6  # a kept step lowers the objective by more than this fraction
 
@@ -122,12 +122,12 @@ def _curvature_energy(method: InterpMethod, times: np.ndarray, values: np.ndarra
     natural cubic with end moments A, B.  A segment joining two dimensions
     runs between end nodes, whose values and moments are 0, so it adds 0.
     """
-    if method not in CUBIC_METHODS:
+    if not method.is_cubic:
         raise OptimizeError(f"smoothness objective defined for cubic methods, not {method.value}")
     h, dv = times[1:] - times[:-1], values[1:] - values[:-1]
     if method is InterpMethod.CUBIC_HERMITE:
         return float(np.sum(12.0 * dv * dv / h**3))
-    M = moment_system(h, dv, ends)[1]
+    M = moment_system(h, dv, ends)
     return float(np.sum(h * (M[:-1] ** 2 + M[:-1] * M[1:] + M[1:] ** 2) / 3.0))
 
 
@@ -191,7 +191,7 @@ def gradients(
     differentiated over the flat node list; a segment joining two
     dimensions runs between end nodes, which are frozen.
     """
-    if method not in CUBIC_METHODS:
+    if not method.is_cubic:
         raise OptimizeError(f"gradients defined for cubic methods, not {method.value}")
     rows, dims, times, values, first, last = flat_nodes(t, X, mask)
     h, dv = times[1:] - times[:-1], values[1:] - values[:-1]
@@ -202,7 +202,7 @@ def gradients(
         gv[:-1] -= gseg
         gh = -36.0 * dv * dv / h**4  # d(term_i)/d(h_i)
     else:
-        M = moment_system(h, dv, np.concatenate((first, last)))[1]
+        M = moment_system(h, dv, np.concatenate((first, last)))
         # The adjoint T w = d(energy)/dM = T M / 3 of the symmetric moment
         # matrix T needs no solve: w = M / 3 (0 at the end nodes).
         w = M[1:-1] / 3.0
@@ -259,7 +259,7 @@ def optimize_targets(
     ``max_steps``.  Returns the last kept iterate; ``steps`` counts the kept
     steps.
     """
-    if method not in CUBIC_METHODS:
+    if not method.is_cubic:
         raise OptimizeError(f"target optimization requires a cubic method, got {method.value}")
     if fseg.num_targets < 1:
         raise OptimizeError(f"{fseg.utterance_id}: no targets to optimize")

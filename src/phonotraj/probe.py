@@ -216,31 +216,27 @@ class ScoreReport:
     grand: float
     stderr: float
 
+    def _table(self, fmt) -> list[list[str]]:
+        """The cells both formats print, values formatted by ``fmt``: the
+        header, one row per speaker and the averages row, each row ending
+        with its average."""
+        rows = [["speaker", *self.parameters, "average"]]
+        rows += [[spk, *map(fmt, self.matrix[i]), fmt(self.per_speaker[i])]
+                 for i, spk in enumerate(self.speakers)]
+        rows.append(["average", *map(fmt, self.per_parameter), fmt(self.grand)])
+        return rows
+
     def to_csv(self) -> str:
-        lines = ["speaker," + ",".join(self.parameters) + ",average"]
-        for i, spk in enumerate(self.speakers):
-            cells = [_fmt(v) for v in self.matrix[i]]
-            lines.append(f"{spk}," + ",".join(cells) + f",{_fmt(self.per_speaker[i])}")
-        lines.append("average," + ",".join(_fmt(v) for v in self.per_parameter)
-                     + f",{_fmt(self.grand)}")
-        lines.append(f"stderr,{_fmt(self.stderr)}")
-        return "\n".join(lines) + "\n"
+        lines = [",".join(row) for row in self._table(_fmt)]
+        return "\n".join([*lines, f"stderr,{_fmt(self.stderr)}"]) + "\n"
 
     def to_text(self) -> str:
         width = max(len(p) for p in self.parameters) + 2
-        head = "speaker".ljust(12) + "".join(p.rjust(width) for p in self.parameters)
-        head += "average".rjust(width)
-        rows = [head, "-" * len(head)]
-        for i, spk in enumerate(self.speakers):
-            row = spk.ljust(12) + "".join(_fmt3(v).rjust(width) for v in self.matrix[i])
-            row += _fmt3(self.per_speaker[i]).rjust(width)
-            rows.append(row)
-        rows.append("-" * len(head))
-        foot = "average".ljust(12) + "".join(_fmt3(v).rjust(width) for v in self.per_parameter)
-        foot += _fmt3(self.grand).rjust(width)
-        rows.append(foot)
-        rows.append(f"standard error across speakers: {_fmt3(self.stderr)}")
-        return "\n".join(rows) + "\n"
+        head, *speakers, average = [row[0].ljust(12) + "".join(c.rjust(width) for c in row[1:])
+                                    for row in self._table(_fmt3)]
+        rule = "-" * len(head)
+        return "\n".join([head, rule, *speakers, rule, average,
+                          f"standard error across speakers: {_fmt3(self.stderr)}"]) + "\n"
 
 
 def _fmt(v: float) -> str:

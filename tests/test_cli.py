@@ -568,6 +568,9 @@ def test_grid_points_never_optimize_the_test_split(tiny_root, tmp_path, monkeypa
     cfg_path.write_text(cfg.to_json(), encoding="utf-8")
     assert cli.main(["run", "--config", str(cfg_path)]) == 1
     assert "stage score/spk00" in capsys.readouterr().err
+    # optimize writes every utterance's targets, so it fails too, naming its stage
+    assert cli.main(["optimize", "--config", str(cfg_path)]) == 1
+    assert "stage optimized/spk00 failed" in capsys.readouterr().err
 
 
 def grid_evals(cfg) -> list[dict]:

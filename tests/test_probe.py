@@ -360,3 +360,30 @@ def test_report_serialization_is_stable():
     assert rep.to_csv() == rep.to_csv()
     assert "0.250" in rep.to_text()
     assert rep.to_csv().startswith("speaker,")
+
+
+def test_report_formats_print_the_same_table():
+    m = np.array([[0.9, 0.8, 0.7, 0.6, 0.5, 0.4], [0.95, np.nan, 0.75, 0.65, 0.55, 0.25]])
+    rep = aggregate(m, ("spk00", "spk01"))
+    assert rep.to_csv() == (
+        "speaker,jaw_height,tongue_body,tongue_dorsum,tongue_tip,lip_protrusion,lip_height,"
+        "average\n"
+        "spk00,0.900000,0.800000,0.700000,0.600000,0.500000,0.400000,0.650000\n"
+        "spk01,0.950000,NA,0.750000,0.650000,0.550000,0.250000,0.630000\n"
+        "average,0.925000,0.800000,0.725000,0.625000,0.525000,0.325000,0.640000\n"
+        "stderr,0.010000\n"
+    )
+    rule = "-" * 124 + "\n"
+    assert rep.to_text() == (
+        "speaker           jaw_height     tongue_body   tongue_dorsum"
+        "      tongue_tip  lip_protrusion      lip_height         average\n"
+        + rule
+        + "spk00                  0.900           0.800           0.700"
+        "           0.600           0.500           0.400           0.650\n"
+        "spk01                  0.950              NA           0.750"
+        "           0.650           0.550           0.250           0.630\n"
+        + rule
+        + "average                0.925           0.800           0.725"
+        "           0.625           0.525           0.325           0.640\n"
+        "standard error across speakers: 0.010\n"
+    )
