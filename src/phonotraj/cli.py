@@ -445,33 +445,38 @@ class Run:
 
     @functools.cached_property
     def data(self) -> list[SpeakerData]:
-        """Every speaker of the config, prepared once per run."""
+        """Every speaker of the config, prepared once per run and held until
+        the run ends, for what needs them all at once: a grid, whose every
+        point needs every speaker, and the lookup of one utterance."""
         return [self.prepare(s) for s in self.cfg.speakers]
+
+    def each_speaker(self, fn) -> list:
+        """``fn(data)`` of each speaker in config order.  A speaker is
+        prepared when its turn comes and released when ``fn`` returns, before
+        the next one is prepared, so one speaker is in memory at a time."""
+        return [fn(self.prepare(s)) for s in self.cfg.speakers]
 
     def write_manifest(self) -> None:
         (self.out / "manifest.json").write_text(self.manifest.to_json(), encoding="utf-8")
 
 
 def _speaker_pairs(data: SpeakerData, cfg: ExperimentConfig, optim: OptimConfig | None,
-                   parts=("train", "dev", "test"), steps: list | None = None) -> dict:
-    """(trajectory, measured series) pairs of each split in ``parts``.  With
-    ``optim`` the targets are optimized first, and each utterance's number of
-    kept descent steps is appended to ``steps``."""
+                   part: str, steps: list | None = None) -> list:
+    """(trajectory, measured series) pairs of split ``part``.  With ``optim``
+    the targets are optimized first, and each utterance's number of kept
+    descent steps is appended to ``steps``."""
     method = cfg.interp_method
-    pairs = {}
-    for which in parts:
-        pairs[which] = []
-        for u in data.part(which):
-            fseg = data.fsegs[u]
-            if optim is None:
-                traj = synthesize(fseg, method, cfg.frame_rate)
-            else:
-                opt = optimize_targets(fseg, method, optim)
-                if steps is not None:
-                    steps.append(opt.steps)
-                traj = synthesize_targets(fseg.utterance_id, opt.t, opt.X, method,
-                                          cfg.frame_rate)
-            pairs[which].append((traj, data.series[u]))
+    pairs = []
+    for u in data.part(part):
+        fseg = data.fsegs[u]
+        if optim is None:
+            traj = synthesize(fseg, method, cfg.frame_rate)
+        else:
+            opt = optimize_targets(fseg, method, optim)
+            if steps is not None:
+                steps.append(opt.steps)
+            traj = synthesize_targets(fseg.utterance_id, opt.t, opt.X, method, cfg.frame_rate)
+        pairs.append((traj, data.series[u]))
     return pairs
 
 
@@ -479,18 +484,33 @@ def _speaker_score(
     data: SpeakerData, cfg: ExperimentConfig, optim: OptimConfig | None, eval_part: str
 ) -> tuple[np.ndarray, list[int]]:
     """Pearson row on ``eval_part`` of the probe fitted on train, and the kept
-    descent steps of each optimized utterance.  Only train, dev and
-    ``eval_part`` are synthesized."""
+    descent steps of each optimized utterance, in synthesis order.
+
+    Train and dev are synthesized and the probe is fitted; a test
+    ``eval_part`` is synthesized only after the fit's pairs are released, so
+    the train and test trajectories are never held together.  A grid point
+    scores dev, the pairs it already has.
+    """
     steps: list[int] = []
-    parts = dict.fromkeys(("train", "dev", eval_part))  # ordered, without a repeat
-    pairs = _speaker_pairs(data, cfg, optim, parts, steps)
-    return score(train_probe(pairs["train"], pairs["dev"]), pairs[eval_part]), steps
+    train = _speaker_pairs(data, cfg, optim, "train", steps)
+    dev = _speaker_pairs(data, cfg, optim, "dev", steps)
+    probe = train_probe(train, dev)
+    if eval_part == "dev":
+        return score(probe, dev), steps
+    del train, dev
+    return score(probe, _speaker_pairs(data, cfg, optim, eval_part, steps)), steps
 
 
 def _grid_axes(oc: OptimConfig) -> dict:
-    """The grid point ``oc`` by the axes the grid searched, as grid.json names
-    them: a disabled block's rate is left out."""
-    return {("lambda" if name == "lam" else name): getattr(oc, name) for name in grid_fields(oc)}
+    """The grid point ``oc`` by the OptimConfig fields the grid searched, as
+    the manifest names them: a disabled block's rate is left out."""
+    return {name: getattr(oc, name) for name in grid_fields(oc)}
+
+
+def _json_axes(oc: OptimConfig) -> dict:
+    """``_grid_axes(oc)`` as grid.json's points and ``grid`` name them:
+    ``lam`` is ``lambda``."""
+    return {("lambda" if name == "lam" else name): v for name, v in _grid_axes(oc).items()}
 
 
 def _grid_point(cfg: ExperimentConfig, data: list[SpeakerData],
@@ -499,11 +519,11 @@ def _grid_point(cfg: ExperimentConfig, data: list[SpeakerData],
     the number of utterances optimized and of those that kept a step
     (``improved``)."""
     results = [_speaker_score(d, cfg, oc, "dev") for d in data]
-    row = {**_grid_axes(oc),
-           "dev_score": aggregate(np.vstack([r for r, _ in results]), tuple(cfg.speakers)).grand}
+    dev_score = aggregate(np.vstack([r for r, _ in results]), tuple(cfg.speakers)).grand
     steps = [n for _, point_steps in results for n in point_steps]
-    fields = {("lam" if k == "lambda" else k): v for k, v in row.items()}
-    return row, {**fields, "optimized": len(steps), "improved": sum(n > 0 for n in steps)}
+    return ({**_json_axes(oc), "dev_score": dev_score},
+            {**_grid_axes(oc), "dev_score": dev_score, "optimized": len(steps),
+             "improved": sum(n > 0 for n in steps)})
 
 
 def grid_search(run: Run) -> tuple[OptimConfig, list[dict]]:
@@ -537,15 +557,24 @@ def grid_search(run: Run) -> tuple[OptimConfig, list[dict]]:
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[ScoreReport, RunManifest]:
-    """Full pipeline: ingest -> synthesize (optionally optimized) -> probe -> score."""
+    """Full pipeline: ingest -> synthesize (optionally optimized) -> probe -> score.
+
+    Without target optimization each speaker is prepared, scored and
+    released in turn (``Run.each_speaker``): the manifest lists
+    ``prepare/s0, score/s0, prepare/s1, score/s1, ...`` and one speaker is in
+    memory at a time.  With it, every grid point needs every speaker, so
+    ``run.data`` prepares them all before the first ``grid-eval`` and holds
+    them through the score stages.
+    """
     run = Run(cfg)
-    data = run.data
-    optim: OptimConfig | None = None
-    if cfg.wants_optimization:
-        optim, _ = grid_search(run)
-    rows = [run.stage(f"score/{d.speaker}", run.key("score", [d.speaker], optim),
-                      lambda d=d: _speaker_score(d, cfg, optim, "test")[0])
-            for d in data]
+    optim = grid_search(run)[0] if cfg.wants_optimization else None
+
+    def score_stage(d: SpeakerData) -> np.ndarray:
+        return run.stage(f"score/{d.speaker}", run.key("score", [d.speaker], optim),
+                         lambda: _speaker_score(d, cfg, optim, "test")[0])
+
+    rows = ([score_stage(d) for d in run.data] if cfg.wants_optimization
+            else run.each_speaker(score_stage))
     report = aggregate(np.vstack(rows), tuple(cfg.speakers))
     (run.out / "report.csv").write_text(report.to_csv(), encoding="utf-8")
     (run.out / "report.txt").write_text(report.to_text(), encoding="utf-8")
@@ -731,18 +760,18 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def _cmd_ingest(run: Run, args) -> None:
-    summary = {}
-    for data in run.data:
-        spk = data.speaker
-        summary[spk] = {
+    def summarize(data: SpeakerData) -> tuple[str, dict]:
+        print(f"{data.speaker}: kept {len(data.fsegs)}, "
+              f"rejected {len(data.rejected)}, nan repairs {data.nan_repairs}")
+        return data.speaker, {
             "utterances": len(data.fsegs) + len(data.rejected),
             "kept": len(data.fsegs),
             "rejected": list(data.rejected),
             "nan_repairs": data.nan_repairs,
             "splits": {k: len(data.part(k)) for k in ("train", "dev", "test")},
         }
-        print(f"{spk}: kept {summary[spk]['kept']}, "
-              f"rejected {len(data.rejected)}, nan repairs {data.nan_repairs}")
+
+    summary = dict(run.each_speaker(summarize))
     (run.out / "ingest.json").write_text(json.dumps(summary, indent=2, sort_keys=True),
                                          encoding="utf-8")
 
@@ -756,11 +785,7 @@ def _find_utterance(run: Run, utt: str) -> SpeakerData:
 
 
 def _cmd_synth(run: Run, args) -> None:
-    if args.utterance:
-        wanted = [(_find_utterance(run, args.utterance), [args.utterance])]
-    else:
-        wanted = [(data, sorted(data.fsegs)) for data in run.data]
-    for data, utts in wanted:
+    def write(data: SpeakerData, utts) -> None:
         spk_out = run.out / "trajectories" / data.speaker
         spk_out.mkdir(parents=True, exist_ok=True)
         for utt in utts:
@@ -768,6 +793,11 @@ def _cmd_synth(run: Run, args) -> None:
             traj.to_csv(spk_out / f"{utt}.csv")
             traj.save_binary(spk_out / f"{utt}.traj")
         print(f"{data.speaker}: wrote {len(utts)} trajectories to {spk_out}")
+
+    if args.utterance:
+        write(_find_utterance(run, args.utterance), [args.utterance])
+    else:
+        run.each_speaker(lambda data: write(data, sorted(data.fsegs)))
 
 
 def _cmd_optimize(run: Run, args) -> None:
@@ -787,17 +817,20 @@ def _cmd_optimize(run: Run, args) -> None:
 def _cmd_probe(run: Run, args) -> None:
     out = run.out / "probes"
     out.mkdir(exist_ok=True)
-    for data in run.data:
-        pairs = _speaker_pairs(data, run.cfg, None, ("train", "dev"))
-        probe = train_probe(pairs["train"], pairs["dev"])
+
+    def fit(data: SpeakerData) -> None:
+        probe = train_probe(_speaker_pairs(data, run.cfg, None, "train"),
+                            _speaker_pairs(data, run.cfg, None, "dev"))
         np.savez(out / f"{data.speaker}.npz", weight=probe.weight, bias=probe.bias,
                  best_dev_loss=probe.best_dev_loss)
         print(f"{data.speaker}: probe trained (dev loss {probe.best_dev_loss:.6g})")
 
+    run.each_speaker(fit)
+
 
 def _cmd_grid(run: Run, args) -> None:
     best, _ = grid_search(run)
-    print("best: " + " ".join(f"{axis}={value}" for axis, value in _grid_axes(best).items()))
+    print("best: " + " ".join(f"{axis}={value}" for axis, value in _json_axes(best).items()))
 
 
 def _cmd_run(cfg: ExperimentConfig) -> None:

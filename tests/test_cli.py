@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import json
 import re
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,7 +18,7 @@ from phonotraj.cli import (ConfigError, ExperimentConfig, generate_synthetic,
                            resolve_table, run_experiment)
 from phonotraj.ema import EmaRecord, load_est_track, write_csv, write_est_track
 from phonotraj.optimize import OptimConfig, OptimizeError, optimize_targets
-from phonotraj.probe import ProbeModel, score
+from phonotraj.probe import ProbeModel, aggregate, score
 
 
 def tree_digest(root: Path) -> str:
@@ -255,13 +257,13 @@ def test_generator_data_is_exactly_affine(synth_root):
     # perfectly, confirming the generator's construction.
     cfg = synthetic_config(synth_root, out_dir=str(synth_root / "out_oracle"))
     data = prepare_speaker(cfg, resolve_table(cfg), "spk00")
-    pairs = cli._speaker_pairs(data, cfg, None)
-    F = np.vstack([p[0].frames for p in pairs["train"]])
-    Z = np.vstack([p[1].Z[: p[0].frames.shape[0]] for p in pairs["train"]])
+    train = cli._speaker_pairs(data, cfg, None, "train")
+    F = np.vstack([p[0].frames for p in train])
+    Z = np.vstack([p[1].Z[: p[0].frames.shape[0]] for p in train])
     Fb = np.column_stack([F, np.ones(len(F))])
     W, *_ = np.linalg.lstsq(Fb, Z, rcond=None)
     probe = ProbeModel(W[:-1].T, W[-1])
-    pcc = score(probe, pairs["test"])
+    pcc = score(probe, cli._speaker_pairs(data, cfg, None, "test"))
     np.testing.assert_allclose(pcc, 1.0, atol=1e-6)
 
 
@@ -299,6 +301,110 @@ def test_noise_degrades_score_monotonically(tmp_path):
         scores.append(rep.grand)
     assert scores[0] > scores[1] > scores[2]
     assert 0.0 < scores[2] < 1.0
+
+
+# ---------------------------------------------------------------------------
+# one speaker in memory at a time
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def trio_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("trio")
+    generate_synthetic(root, speakers=3, utterances=14, dim=4, seed=6)
+    return root
+
+
+def track_speakers(monkeypatch, events: list) -> None:
+    """Wrap prepare_speaker: before each preparation, a collection, then
+    ("prepare", speaker, [earlier speakers still alive]) appended to ``events``."""
+    prepare, refs = cli.prepare_speaker, []
+
+    def tracking(cfg, table, speaker):
+        gc.collect()
+        events.append(("prepare", speaker, [r().speaker for r in refs if r() is not None]))
+        data = prepare(cfg, table, speaker)
+        refs.append(weakref.ref(data))
+        return data
+
+    monkeypatch.setattr(cli, "prepare_speaker", tracking)
+
+
+@pytest.mark.parametrize("command", ["run", "probe", "synth", "ingest"])
+def test_a_command_without_a_grid_holds_one_speaker_at_a_time(trio_root, tmp_path, monkeypatch,
+                                                               command):
+    # run_experiment, probe, synth and ingest used to prepare every speaker
+    # before the first one was used, and held them all to the end.
+    cfg = synthetic_config(trio_root, utterances=14, speakers=3, out_dir=str(tmp_path / "out"))
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg.to_json(), encoding="utf-8")
+    events = []
+    track_speakers(monkeypatch, events)
+    assert cli.main([command, "--config", str(path)]) == 0
+    assert events == [("prepare", s, []) for s in cfg.speakers]
+
+
+def test_a_run_with_a_grid_prepares_every_speaker_before_the_first_grid_point(
+        trio_root, tmp_path, monkeypatch):
+    cfg = replace(synthetic_config(trio_root, utterances=14, speakers=3, method="cubic_hermite",
+                                   out_dir=str(tmp_path / "out")),
+                  optimize_timing=True, optimize_position=True, max_steps=1,
+                  grid={"timing_lrs": [1e-5], "position_lrs": [1e-2], "lambdas": [0.0, 1e3]})
+    events = []
+    track_speakers(monkeypatch, events)
+    speaker_score = cli._speaker_score
+
+    def recording(data, point_cfg, optim, part):
+        events.append((part, data.speaker))
+        return speaker_score(data, point_cfg, optim, part)
+
+    monkeypatch.setattr(cli, "_speaker_score", recording)
+    run_experiment(cfg)
+    assert events[:3] == [("prepare", "spk00", []), ("prepare", "spk01", ["spk00"]),
+                          ("prepare", "spk02", ["spk00", "spk01"])]
+    assert events[3:] == [(part, s) for part in ("dev", "dev", "test") for s in cfg.speakers]
+
+
+@pytest.mark.parametrize("method, optim", [
+    ("linear", None), ("cubic_hermite", OptimConfig(max_steps=1, optimize_position=True))])
+def test_speaker_score_fits_the_probe_before_it_synthesizes_the_test_split(
+        trio_root, monkeypatch, method, optim):
+    cfg = synthetic_config(trio_root, utterances=14, speakers=3, method=method)
+    data = prepare_speaker(cfg, resolve_table(cfg), "spk00")
+    events = []
+
+    def recording(kind, fn, utterance):
+        def wrapper(*args):
+            events.append((kind, utterance(*args)))
+            return fn(*args)
+        return wrapper
+
+    by_fseg = lambda fseg, *_: fseg.utterance_id  # noqa: E731
+    monkeypatch.setattr(cli, "synthesize", recording("synth", cli.synthesize, by_fseg))
+    monkeypatch.setattr(cli, "synthesize_targets",
+                        recording("synth", cli.synthesize_targets, lambda utt, *_: utt))
+    monkeypatch.setattr(cli, "optimize_targets", recording("optimize", cli.optimize_targets,
+                                                           by_fseg))
+    monkeypatch.setattr(cli, "train_probe", recording("fit", cli.train_probe, lambda *_: None))
+    cli._speaker_score(data, cfg, optim, "test")
+    order = [u for part in ("train", "dev", "test") for u in data.part(part)]
+    assert [u for kind, u in events if kind == "synth"] == order  # each utterance once
+    if optim is not None:
+        assert [u for kind, u in events if kind == "optimize"] == order
+    first_test = min(i for i, (_, u) in enumerate(events) if u in data.part("test"))
+    assert events.index(("fit", None)) < first_test
+
+
+def test_run_without_a_grid_scores_each_speaker_after_preparing_it(pair_root, tmp_path):
+    cfg = synthetic_config(pair_root, utterances=14, out_dir=str(tmp_path / "out"))
+    run_experiment(cfg)
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert [s["stage"] for s in manifest["stages"]] == [
+        "prepare/spk00", "score/spk00", "prepare/spk01", "score/spk01"]
+    every = cli.Run(replace(cfg, out_dir=str(tmp_path / "every"))).data
+    rows = [cli._speaker_score(d, cfg, None, "test")[0] for d in every]
+    assert ((tmp_path / "out" / "report.csv").read_text()
+            == aggregate(np.vstack(rows), cfg.speakers).to_csv())
 
 
 def test_piecewise_constant_rejected_on_underspecified_set(synth_root, tmp_path, monkeypatch):
