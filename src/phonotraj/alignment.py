@@ -15,7 +15,7 @@ from pathlib import Path as _Path
 
 import numpy as np
 
-from .phonology import SILENCE_LABELS, FeatureTable, encode_target
+from .phonology import SILENCE, FeatureTable, normalize_label
 
 _TIME_EPS = 1e-6  # tolerated interval mismatch in seconds
 
@@ -186,7 +186,7 @@ def parse_alignment(path) -> PhoneSegmentation:
 
 
 def is_silence(label: str) -> bool:
-    return label.strip().lower() in SILENCE_LABELS
+    return normalize_label(label) == SILENCE
 
 
 def trim_and_filter(seg: PhoneSegmentation) -> PhoneSegmentation | None:
@@ -217,18 +217,14 @@ def trim_and_filter(seg: PhoneSegmentation) -> PhoneSegmentation | None:
 
 
 def build_featural(seg: PhoneSegmentation, table: FeatureTable) -> FeaturalSegmentation:
-    """Replace phones with feature targets and add the zero boundary rows."""
+    """Replace phones with their rows of ``table.matrix`` and add the zero
+    boundary rows."""
     if len(seg) == 0:
         raise AlignmentError(f"{seg.utterance_id}: cannot build targets from empty segmentation")
-    k = len(seg)
-    d = table.dimension
-    X = np.zeros((k + 2, d))
-    Y = np.zeros((k + 2, 2))
-    for i, ph in enumerate(seg.phones, start=1):
-        X[i] = encode_target(table, ph.label)
-        Y[i] = (ph.start, ph.end)
-    Y[0] = (0.0, 0.0)
-    Y[k + 1] = (seg.phones[-1].end, seg.phones[-1].end)
+    end = seg.phones[-1].end
+    X = np.zeros((len(seg) + 2, table.dimension))
+    X[1:-1] = table.matrix[[table.row(ph.label) for ph in seg.phones]]
+    Y = np.array([(0.0, 0.0), *((ph.start, ph.end) for ph in seg.phones), (end, end)])
     t = Y.mean(axis=1)
     if not np.all(np.diff(t) > 0):
         raise AlignmentError(f"{seg.utterance_id}: midpoint timings are not strictly increasing")

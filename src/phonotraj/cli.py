@@ -338,9 +338,8 @@ def prepare_speaker(cfg: ExperimentConfig, table: FeatureTable, speaker: str) ->
 
 def _table_digest(table: FeatureTable) -> str:
     """Digest of a resolved table's contents: feature names, labels and values."""
-    labels = sorted(table.vectors)
-    values = np.stack([table.vectors[label] for label in labels])
-    return _hash_bytes(_hash_obj([table.names, labels]).encode(), values.tobytes())
+    return _hash_bytes(_hash_obj([table.names, table.inventory]).encode(),
+                       table.matrix.tobytes())
 
 
 @functools.cache
@@ -393,7 +392,7 @@ class Run:
         self.cfg = cfg
         self.table = resolve_table(cfg)  # a set that cannot work fails before any input is read
         if (cfg.interp_method is InterpMethod.PIECEWISE_CONSTANT
-                and any(np.isnan(v).any() for v in self.table.vectors.values())):
+                and np.isnan(self.table.matrix).any()):
             raise ConfigError(f"piecewise-constant requires a fully specified feature set; "
                               f"{cfg.feature_set} has unknown entries")
         self.out = Path(cfg.out_dir)
@@ -846,9 +845,10 @@ def _cmd_gen_synthetic(args) -> None:
 
 
 def _cmd_plot(run: Run, args) -> None:
-    utt = args.utterance or sorted(run.data[0].fsegs)[0]
-    fseg = _find_utterance(run, utt).fsegs[utt]
-    traj = synthesize(fseg, run.cfg.interp_method, run.cfg.frame_rate)
+    data = (_find_utterance(run, args.utterance) if args.utterance
+            else run.prepare(run.cfg.speakers[0]))
+    utt = args.utterance or sorted(data.fsegs)[0]
+    traj = synthesize(data.fsegs[utt], run.cfg.interp_method, run.cfg.frame_rate)
     plot_trajectory_svg(traj, args.svg)
     print(f"wrote {args.svg}")
 

@@ -16,10 +16,10 @@ variants obtained by concatenating a one-hot phoneme block:
 FeatureTableError, as is a custom id without a table path or a shipped id
 with one.
 
-Feature vectors are float arrays in which *unknown* (context-dependent)
-entries are NaN; everything else is a specified real value.  Silence maps
-to the all-zero vector in every set except phoneme_onehot, where it has
-its own index.  Tables are immutable after loading.
+A table is its inventory and one read-only matrix, row i encoding
+``inventory[i]`` with NaN for *unknown* (context-dependent) entries.
+Silence is generated, never read from a file: the all-zero row in every
+set except phoneme_onehot, where it has its own index.
 """
 from __future__ import annotations
 
@@ -80,27 +80,40 @@ class ApCategoryScale:
 class FeatureTable:
     """Immutable phoneme -> feature-vector lookup.
 
-    ``vectors`` maps every supported label (including silence) to a float
-    vector of length ``dimension`` with NaN marking unknown entries.
-    ``groups`` lists the dimension-index blocks of one-hot groups, when the
-    encoding has any.
+    ``matrix`` is a read-only copy the table owns: row i encodes
+    ``inventory[i]``, column j is ``names[j]``; ``row`` is the one lookup of
+    a phone label's row.  ``groups`` lists the dimension-index blocks of
+    one-hot groups, when the encoding has any.
     """
 
     set_id: str
-    dimension: int
     names: tuple[str, ...]
-    vectors: dict[str, np.ndarray]
     inventory: tuple[str, ...]
+    matrix: np.ndarray
     groups: tuple[tuple[int, ...], ...] = field(default=())
+    _rows: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.names) != self.dimension:
-            raise FeatureTableError(
-                f"{self.set_id}: {len(self.names)} names for dimension {self.dimension}"
-            )
-        for ph, vec in self.vectors.items():
-            if vec.shape != (self.dimension,):
-                raise FeatureTableError(f"{self.set_id}: row for {ph!r} has shape {vec.shape}")
+        matrix = np.array(self.matrix, dtype=float)
+        matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "_rows", {ph: i for i, ph in enumerate(self.inventory)})
+        if len(self._rows) != len(self.inventory):
+            raise FeatureTableError(f"{self.set_id}: duplicate labels in inventory")
+        if matrix.shape != (len(self.inventory), len(self.names)):
+            raise FeatureTableError(f"{self.set_id}: matrix has shape {matrix.shape} for "
+                                    f"{len(self.inventory)} labels and {len(self.names)} names")
+
+    @property
+    def dimension(self) -> int:
+        return len(self.names)
+
+    def row(self, phoneme: str) -> int:
+        """Index of ``phoneme``'s row in ``matrix``; silence variants share 'sil'."""
+        row = self._rows.get(normalize_label(phoneme))
+        if row is None:
+            raise FeatureTableError(f"phoneme {phoneme!r} not in feature set {self.set_id}")
+        return row
 
 
 def normalize_label(label: str) -> str:
@@ -148,22 +161,25 @@ def load_ap_scale() -> ApCategoryScale:
 
 
 def _read_rows(path: Path) -> tuple[tuple[str, ...], list[tuple[str, list[str]]]]:
-    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+    lines = [(i, ln) for i, ln in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if ln.strip()]
     if not lines:
         raise FeatureTableError(f"{path}: empty table")
-    header = lines[0].split("\t")
+    header = lines[0][1].split("\t")
     if header[0] != "phoneme" or len(header) < 2:
         raise FeatureTableError(f"{path}: header must start with 'phoneme'")
     names = tuple(header[1:])
     rows = []
     seen = set()
-    for i, line in enumerate(lines[1:], start=2):
+    for i, line in lines[1:]:
         parts = line.split("\t")
         if len(parts) != len(header):
             raise FeatureTableError(
                 f"{path}:{i}: row has {len(parts) - 1} values, expected {len(names)}"
             )
         ph = normalize_label(parts[0])
+        if ph == SILENCE:
+            raise FeatureTableError(f"{path}:{i}: silence row {parts[0]!r}; silence is never read")
         if ph in seen:
             raise FeatureTableError(f"{path}:{i}: duplicate phoneme {ph!r}")
         seen.add(ph)
@@ -208,8 +224,8 @@ def load_feature_table(path: str | Path, set_id: str) -> FeatureTable:
     unknown, resolved against the shipped category scale.  One row loop reads
     them all: each column fills one dimension, or one one-hot group.  The
     custom tables may have any dimension and define their own inventory; the
-    others must cover the shipped inventory.  The silence row is always
-    generated, never read: silence is the all-zero vector.
+    others must cover the shipped inventory and list no other label.  A
+    table lists no silence row: silence is generated as the all-zero row.
     """
     path = Path(path)
     if set_id not in _GP_UNKNOWN and set_id not in _AP_SETS:
@@ -224,23 +240,24 @@ def load_feature_table(path: str | Path, set_id: str) -> FeatureTable:
                 raise FeatureTableError(
                     f"{path}: value {v!r} for {ph!r} not in {{{', '.join(cells)}}}")
             row += cells[v]
-        vectors[ph] = np.array(row)
+        vectors[ph] = row
     names, groups = [], []
     for dims, _ in columns:
         if len(dims) > 1:  # a one-hot group
             groups.append(tuple(range(len(names), len(names) + len(dims))))
         names += dims
-    vectors[SILENCE] = np.zeros(len(names))
+    vectors[SILENCE] = [0.0] * len(names)
     if len(names) != BASE_DIMENSIONS.get(set_id, len(names)):
         raise FeatureTableError(
             f"{set_id}: table has {len(names)} dimensions, expected {BASE_DIMENSIONS[set_id]}")
     # A custom table defines its own inventory, silence appended.
     inventory = (tuple(ph for ph, _ in rows) + (SILENCE,) if set_id in CUSTOM_SETS
                  else load_inventory())
-    missing = [ph for ph in inventory if ph not in vectors]
-    if missing:
-        raise FeatureTableError(f"{path}: inventory labels missing from table: {missing}")
-    return FeatureTable(set_id, len(names), tuple(names), vectors, inventory, tuple(groups))
+    if vectors.keys() != set(inventory):
+        raise FeatureTableError(f"{path}: labels in only one of the table and the inventory: "
+                                f"{sorted(vectors.keys() ^ set(inventory))}")
+    return FeatureTable(set_id, tuple(names), inventory, [vectors[ph] for ph in inventory],
+                        tuple(groups))
 
 
 def build_phoneme_onehot(inventory: tuple[str, ...] | None = None) -> FeatureTable:
@@ -248,30 +265,18 @@ def build_phoneme_onehot(inventory: tuple[str, ...] | None = None) -> FeatureTab
     if inventory is None:
         inventory = load_inventory()
     d = len(inventory)
-    vectors = dict(zip(inventory, np.eye(d)))
     names = tuple(f"ph={p}" for p in inventory)
-    return FeatureTable("phoneme_onehot", d, names, vectors, inventory, (tuple(range(d)),))
+    return FeatureTable("phoneme_onehot", names, inventory, np.eye(d), (tuple(range(d)),))
 
 
 def enrich_with_phonemes(base: FeatureTable) -> FeatureTable:
-    """Concatenate a one-hot phoneme block to every row of ``base``."""
+    """Concatenate the one-hot phoneme block, the identity over ``base.inventory``."""
     if base.set_id.endswith(ENRICH_SUFFIX) or base.set_id == "phoneme_onehot":
         raise FeatureTableError(f"cannot enrich feature set {base.set_id!r}")
     onehot = build_phoneme_onehot(base.inventory)
-    vectors = {
-        ph: np.concatenate([vec, onehot.vectors[ph]]) for ph, vec in base.vectors.items()
-    }
-    groups = base.groups + tuple(
-        tuple(base.dimension + i for i in g) for g in onehot.groups
-    )
-    return FeatureTable(
-        base.set_id + ENRICH_SUFFIX,
-        base.dimension + onehot.dimension,
-        base.names + onehot.names,
-        vectors,
-        base.inventory,
-        groups,
-    )
+    groups = base.groups + tuple(tuple(base.dimension + i for i in g) for g in onehot.groups)
+    return FeatureTable(base.set_id + ENRICH_SUFFIX, base.names + onehot.names, base.inventory,
+                        np.hstack([base.matrix, onehot.matrix]), groups)
 
 
 def get_table(set_id: str, table_path: str | Path | None = None) -> FeatureTable:
@@ -297,7 +302,4 @@ def get_table(set_id: str, table_path: str | Path | None = None) -> FeatureTable
 
 def encode_target(table: FeatureTable, phoneme: str) -> np.ndarray:
     """Feature vector for one phoneme (a copy; NaN marks unknown entries)."""
-    ph = normalize_label(phoneme)
-    if ph not in table.vectors:
-        raise FeatureTableError(f"phoneme {phoneme!r} not in feature set {table.set_id}")
-    return table.vectors[ph].copy()
+    return table.matrix[table.row(phoneme)].copy()

@@ -1,7 +1,8 @@
 """The feature-table loader and resolvers as they were before one grammar and
 one row loop replaced them: a separate loop per table kind, custom ids
 resolved by the config layer.  The tests hold the current code to the tables
-this reference builds."""
+this reference builds.  ``build_featural`` is the targets' per-phone loop as
+it was before one row gather replaced it."""
 from __future__ import annotations
 
 import math
@@ -9,8 +10,9 @@ from pathlib import Path
 
 import numpy as np
 
+from phonotraj.alignment import PhoneSegmentation
 from phonotraj.phonology import (BASE_DIMENSIONS, SILENCE, FeatureTable, FeatureTableError,
-                                 _data_path, _read_rows, build_phoneme_onehot,
+                                 _data_path, _read_rows, build_phoneme_onehot, encode_target,
                                  enrich_with_phonemes, load_ap_scale, load_inventory)
 
 _GP_ALPHABET = {"+": 1.0, "-": -1.0}
@@ -84,7 +86,8 @@ def load_feature_table(path: str | Path, set_id: str) -> FeatureTable:
     missing = [ph for ph in inventory if ph not in vectors]
     if missing:
         raise FeatureTableError(f"{path}: inventory labels missing from table: {missing}")
-    return FeatureTable(set_id, len(names), tuple(names), vectors, inventory, groups)
+    return FeatureTable(set_id, tuple(names), inventory,
+                        np.stack([vectors[ph] for ph in inventory]), groups)
 
 
 def get_table(set_id: str) -> FeatureTable:
@@ -104,3 +107,17 @@ def custom_table(set_id: str, path: Path) -> FeatureTable:
     """A custom id with its table path, as the config layer resolved it."""
     table = load_feature_table(path, set_id.removesuffix("_phoneme"))
     return enrich_with_phonemes(table) if set_id.endswith("_phoneme") else table
+
+
+def build_featural(seg: PhoneSegmentation, table: FeatureTable):
+    """The targets X, intervals Y and midpoints t of ``seg``, one
+    ``encode_target`` per phone between the zero boundary rows."""
+    k = len(seg)
+    X = np.zeros((k + 2, table.dimension))
+    Y = np.zeros((k + 2, 2))
+    for i, ph in enumerate(seg.phones, start=1):
+        X[i] = encode_target(table, ph.label)
+        Y[i] = (ph.start, ph.end)
+    Y[0] = (0.0, 0.0)
+    Y[k + 1] = (seg.phones[-1].end, seg.phones[-1].end)
+    return X, Y, Y.mean(axis=1)

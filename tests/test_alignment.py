@@ -293,6 +293,13 @@ def test_trim_strips_silence_runs():
     assert out.offset == pytest.approx(0.3)
 
 
+@pytest.mark.parametrize("label", ["SIL", " sp ", "Spn", ""])
+def test_trim_strips_every_label_the_tables_read_as_silence(label):
+    out = trim_and_filter(seg((label, 0.0, 0.2), ("aa", 0.2, 0.4), (label, 0.4, 0.6)))
+    assert [p.label for p in out.phones] == ["aa"]
+    assert get_table("gp_unknown").row(label) == get_table("gp_unknown").row("sil")
+
+
 def test_trim_is_idempotent():
     s = seg(("sil", 0.0, 0.5), ("aa", 0.5, 0.9), ("ae", 0.9, 1.1), ("sil", 1.1, 1.4))
     once = trim_and_filter(s)

@@ -1,9 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
 import reference_phonology as reference
+from phonotraj.alignment import Phone, PhoneSegmentation, build_featural
 from phonotraj.phonology import (
+    FeatureTable,
     FeatureTableError,
+    _data_path,
     build_phoneme_onehot,
     encode_target,
     enrich_with_phonemes,
@@ -34,8 +39,9 @@ def test_base_dimensions(set_id, d):
     table = get_table(set_id)
     assert table.dimension == d
     assert len(table.names) == d
+    assert table.matrix.shape == (len(table.inventory), d)
     for ph in table.inventory:
-        assert table.vectors[ph].shape == (d,)
+        assert encode_target(table, ph).shape == (d,)
 
 
 @pytest.mark.parametrize(
@@ -52,10 +58,8 @@ def test_enriched_dimensions(set_id, d):
 
 def test_encode_round_trip_equals_stored_row():
     table = get_table("gp_unknown")
-    for ph in table.inventory:
-        np.testing.assert_array_equal(
-            encode_target(table, ph), table.vectors[ph]
-        )
+    for i, ph in enumerate(table.inventory):
+        np.testing.assert_array_equal(encode_target(table, ph), table.matrix[i])
 
 
 def test_gp_binary_is_gp_unknown_with_unknowns_as_minus_one():
@@ -64,8 +68,8 @@ def test_gp_binary_is_gp_unknown_with_unknowns_as_minus_one():
     for ph in unk.inventory:
         if ph == "sil":
             continue
-        u = unk.vectors[ph]
-        b = binary.vectors[ph]
+        u = encode_target(unk, ph)
+        b = encode_target(binary, ph)
         np.testing.assert_array_equal(np.where(np.isnan(u), -1.0, u), b)
 
 
@@ -82,7 +86,7 @@ def test_gp_binary_values_are_plus_minus_one():
     for ph in table.inventory:
         if ph == "sil":
             continue
-        row = table.vectors[ph]
+        row = encode_target(table, ph)
         assert not np.isnan(row).any()
         assert set(np.unique(row)) <= {-1.0, 1.0}
 
@@ -104,8 +108,9 @@ def test_silence_aliases_map_to_sil():
 def test_phoneme_onehot_is_identity():
     table = build_phoneme_onehot()
     assert table.dimension == 47
-    stack = np.vstack([table.vectors[ph] for ph in table.inventory])
+    stack = np.vstack([encode_target(table, ph) for ph in table.inventory])
     np.testing.assert_array_equal(stack, np.eye(47))
+    np.testing.assert_array_equal(table.matrix, np.eye(47))
 
 
 def test_ap_onehot_groups_are_valid():
@@ -116,7 +121,7 @@ def test_ap_onehot_groups_are_valid():
     for ph in table.inventory:
         if ph == "sil":
             continue
-        row = table.vectors[ph]
+        row = encode_target(table, ph)
         for g in table.groups:
             block = row[list(g)]
             if np.isnan(block).any():
@@ -136,7 +141,7 @@ def test_ap_scalar_values_in_unit_interval_and_scale_increasing():
         assert len(set(values)) == len(values)
     table = get_table("ap_scalar")
     for ph in table.inventory:
-        row = table.vectors[ph]
+        row = encode_target(table, ph)
         ok = row[~np.isnan(row)]
         assert np.all((ok >= 0.0) & (ok <= 1.0))
 
@@ -151,12 +156,11 @@ def test_enriched_rows_are_concatenations():
     onehot = build_phoneme_onehot()
     enriched = enrich_with_phonemes(base)
     for ph in base.inventory:
+        row = encode_target(enriched, ph)
         np.testing.assert_array_equal(
-            enriched.vectors[ph],
-            np.concatenate([base.vectors[ph], onehot.vectors[ph]]),
-        )
+            row, np.concatenate([encode_target(base, ph), encode_target(onehot, ph)]))
         # phoneme block always fully specified
-        assert not np.isnan(enriched.vectors[ph][base.dimension:]).any()
+        assert not np.isnan(row[base.dimension:]).any()
 
 
 def test_enrich_twice_rejected():
@@ -168,8 +172,12 @@ def test_enrich_twice_rejected():
 
 
 def test_unknown_phoneme_is_an_error():
-    with pytest.raises(FeatureTableError):
-        encode_target(get_table("gp_unknown"), "qx")
+    table = get_table("gp_unknown")
+    unknown = PhoneSegmentation("utt", (Phone("aa", 0.0, 0.1), Phone("qx", 0.1, 0.2)))
+    message = "^phoneme 'qx' not in feature set gp_unknown$"
+    for encode in (lambda: encode_target(table, "qx"), lambda: build_featural(unknown, table)):
+        with pytest.raises(FeatureTableError, match=message):
+            encode()
 
 
 def test_wrong_arity_row_rejected(tmp_path):
@@ -216,10 +224,11 @@ def assert_same_table(table, expected):
         expected.set_id, expected.dimension, expected.names)
     assert table.groups == expected.groups
     assert table.inventory == expected.inventory
-    assert list(table.vectors) == list(expected.vectors)
-    for label, vec in expected.vectors.items():
-        assert table.vectors[label].dtype == vec.dtype
-        assert table.vectors[label].tobytes() == vec.tobytes(), label
+    assert table.matrix.shape == expected.matrix.shape
+    for label in expected.inventory:
+        row, want = encode_target(table, label), encode_target(expected, label)
+        assert row.dtype == want.dtype
+        assert row.tobytes() == want.tobytes(), label
 
 
 @pytest.fixture
@@ -243,9 +252,11 @@ def test_custom_tables_equal_the_reference_loader(custom_tsv, set_id):
 
 def test_custom_binary_maps_zero_to_minus_one(custom_tsv):
     plain, binary = get_table("custom", custom_tsv), get_table("custom_binary", custom_tsv)
-    assert np.isnan(plain.vectors["ph00"][1]) and binary.vectors["ph00"][1] == -1.0
-    for label, vec in plain.vectors.items():
-        np.testing.assert_array_equal(binary.vectors[label], np.where(np.isnan(vec), -1.0, vec))
+    assert np.isnan(encode_target(plain, "ph00")[1]) and encode_target(binary, "ph00")[1] == -1.0
+    for label in plain.inventory:
+        vec = encode_target(plain, label)
+        np.testing.assert_array_equal(encode_target(binary, label),
+                                      np.where(np.isnan(vec), -1.0, vec))
 
 
 def test_custom_phoneme_is_the_enriched_custom_table(custom_tsv):
@@ -272,3 +283,72 @@ def test_tsv_loading_takes_base_ids_only(custom_tsv):
     for set_id in ("custom_phoneme", "customized", "gp_foo", "phoneme_onehot"):
         with pytest.raises(FeatureTableError, match="unsupported set_id"):
             load_feature_table(custom_tsv, set_id)
+
+
+# ---------------------------------------------------------------------------
+# a table is its inventory and one read-only matrix; targets are its rows
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("set_id", SHIPPED_IDS + CUSTOM_IDS)
+def test_build_featural_equals_the_per_phone_reference(custom_tsv, set_id):
+    table = get_table(set_id, custom_tsv if set_id.startswith("custom") else None)
+    labels = [*table.inventory[::-1], "SP", table.inventory[-1].upper(), ""]
+    phones = tuple(Phone(label, 0.05 * i, 0.05 * (i + 1)) for i, label in enumerate(labels))
+    out = build_featural(PhoneSegmentation("utt", phones), table)
+    for got, want in zip((out.X, out.Y, out.t),
+                         reference.build_featural(PhoneSegmentation("utt", phones), table)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("set_id", SHIPPED_IDS + CUSTOM_IDS)
+def test_table_matrix_is_read_only(custom_tsv, set_id):
+    table = get_table(set_id, custom_tsv if set_id.startswith("custom") else None)
+    with pytest.raises(ValueError, match="read-only"):
+        table.matrix[0, 0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        table.matrix[table.row("sil")] += 1.0
+
+
+def test_table_owns_a_copy_of_its_matrix():
+    source = np.eye(2)
+    table = FeatureTable("t", ("f0", "f1"), ("a", "sil"), source)
+    source[0, 0] = 7.0
+    np.testing.assert_array_equal(table.matrix, np.eye(2))
+    encode_target(table, "a")[0] = 7.0  # a fresh array, not a view of the row
+    np.testing.assert_array_equal(table.matrix, np.eye(2))
+
+
+@pytest.mark.parametrize("inventory, matrix, message", [
+    (("a", "b", "a"), np.zeros((3, 2)), "duplicate labels"),
+    (("a", "b"), np.zeros((3, 2)), r"shape \(3, 2\) for 2 labels and 2 names"),
+    (("a", "b"), np.zeros((2, 3)), r"shape \(2, 3\) for 2 labels and 2 names"),
+])
+def test_table_invariants(inventory, matrix, message):
+    with pytest.raises(FeatureTableError, match=message):
+        FeatureTable("t", ("f0", "f1"), inventory, matrix)
+
+
+@pytest.mark.parametrize("label", ["sil", "sp", "SPN", ""])
+def test_silence_row_in_a_table_rejected(tmp_path, label):
+    # A custom table listing silence used to put it twice in the inventory:
+    # ('aa', 'sil', 'b', 'sil'), so custom_phoneme had two ph=sil dimensions.
+    path = tmp_path / "features.tsv"
+    path.write_text(f"phoneme\tf0\naa\t+\n\n{label}\t-\nb\t0\n", encoding="utf-8")
+    for set_id in CUSTOM_IDS:
+        with pytest.raises(FeatureTableError, match=re.escape(f"{path}:4: silence row {label!r}")):
+            get_table(set_id, path)
+
+
+def test_shipped_table_labels_must_be_the_inventory(tmp_path):
+    # A label outside the inventory used to be kept and encodable in the
+    # base set, and to crash the enriched one with a KeyError.
+    lines = _data_path("gp.tsv").read_text(encoding="utf-8").splitlines()
+    last, cells = lines[-1].split("\t", 1)
+    path = tmp_path / "gp.tsv"
+    for rows, odd in ((lines[:-1], last), (lines + [f"zz\t{cells}"], "zz")):
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(FeatureTableError, match=re.escape(
+                f"labels in only one of the table and the inventory: [{odd!r}]")):
+            load_feature_table(path, "gp_unknown")
