@@ -99,13 +99,14 @@ class ExperimentConfig:
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        try:  # OptimConfig and grid_configs hold the optimizer's rules
+        try:  # OptimConfig, grid_configs and InterpMethod hold their own rules
             optim = self.optim
             if self.grid is not None:
                 grid_configs(optim, self.grid)
-        except OptimizeError as exc:
+            method = self.interp_method
+        except (OptimizeError, ForwardError) as exc:
             raise ConfigError(str(exc)) from exc
-        if not self.interp_method.is_cubic and self.wants_optimization:  # validates method
+        if not method.is_cubic and self.wants_optimization:
             raise ConfigError("target optimization requires a cubic interpolation method")
 
     @functools.cached_property
@@ -385,8 +386,8 @@ def _speaker_input_hash(cfg: ExperimentConfig, table_digest: str, speaker: str) 
 
 class Run:
     """One run's cache, manifest, resolved feature table and per-speaker
-    input digests.  ``stage`` is the only code that reads or writes the cache
-    and records a stage in the manifest."""
+    input digests; it holds no prepared speaker.  ``stage`` is the only code
+    that reads or writes the cache and records a stage in the manifest."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -441,13 +442,6 @@ class Run:
         key = "prep-" + _hash_bytes(self.input_hash[speaker].encode(), speaker.encode())
         return self.stage(f"prepare/{speaker}", key,
                           lambda: prepare_speaker(self.cfg, self.table, speaker))
-
-    @functools.cached_property
-    def data(self) -> list[SpeakerData]:
-        """Every speaker of the config, prepared once per run and held until
-        the run ends, for what needs them all at once: a grid, whose every
-        point needs every speaker, and the lookup of one utterance."""
-        return [self.prepare(s) for s in self.cfg.speakers]
 
     def each_speaker(self, fn) -> list:
         """``fn(data)`` of each speaker in config order.  A speaker is
@@ -534,15 +528,16 @@ def grid_search(run: Run) -> tuple[OptimConfig, list[dict]]:
     deterministic grid order) and the per-point score table.  The descent
     keeps only steps that lower the objective, so a point whose rate
     overshoots keeps its input targets and still has a dev score.  Each point
-    is a cached stage of ``run``.
+    is a cached stage of ``run``; the first one that is not cached prepares
+    every speaker, and they are held until the grid returns.
     """
     cfg = run.cfg
     if not cfg.wants_optimization:
         raise ConfigError("grid search requires optimization to be enabled")
     configs = grid_configs(cfg.optim, cfg.grid)
-    data = run.data
+    every = functools.cache(lambda: [run.prepare(s) for s in cfg.speakers])
     rows = [run.stage("grid-eval", run.key("grid", cfg.speakers, oc),
-                      lambda oc=oc: _grid_point(cfg, data, oc),
+                      lambda oc=oc: _grid_point(cfg, every(), oc),
                       describe=lambda point: point[1])[0]
             for oc in configs]
     best = configs[int(np.argmax([r["dev_score"] for r in rows]))]
@@ -558,12 +553,11 @@ def grid_search(run: Run) -> tuple[OptimConfig, list[dict]]:
 def run_experiment(cfg: ExperimentConfig) -> tuple[ScoreReport, RunManifest]:
     """Full pipeline: ingest -> synthesize (optionally optimized) -> probe -> score.
 
-    Without target optimization each speaker is prepared, scored and
-    released in turn (``Run.each_speaker``): the manifest lists
+    With target optimization ``grid_search`` picks the settings first.  Then
+    each speaker is prepared, scored and released in turn
+    (``Run.each_speaker``): after any ``grid-eval`` entries the manifest lists
     ``prepare/s0, score/s0, prepare/s1, score/s1, ...`` and one speaker is in
-    memory at a time.  With it, every grid point needs every speaker, so
-    ``run.data`` prepares them all before the first ``grid-eval`` and holds
-    them through the score stages.
+    memory at a time.
     """
     run = Run(cfg)
     optim = grid_search(run)[0] if cfg.wants_optimization else None
@@ -572,9 +566,7 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[ScoreReport, RunManifest]:
         return run.stage(f"score/{d.speaker}", run.key("score", [d.speaker], optim),
                          lambda: _speaker_score(d, cfg, optim, "test")[0])
 
-    rows = ([score_stage(d) for d in run.data] if cfg.wants_optimization
-            else run.each_speaker(score_stage))
-    report = aggregate(np.vstack(rows), tuple(cfg.speakers))
+    report = aggregate(np.vstack(run.each_speaker(score_stage)), tuple(cfg.speakers))
     (run.out / "report.csv").write_text(report.to_csv(), encoding="utf-8")
     (run.out / "report.txt").write_text(report.to_text(), encoding="utf-8")
     run.write_manifest()
@@ -776,10 +768,13 @@ def _cmd_ingest(run: Run, args) -> None:
 
 
 def _find_utterance(run: Run, utt: str) -> SpeakerData:
-    """The prepared speaker that holds utterance ``utt``."""
-    for data in run.data:
+    """The first speaker, in config order, that holds utterance ``utt``; a
+    speaker without it is released before the next one is prepared."""
+    for speaker in run.cfg.speakers:
+        data = run.prepare(speaker)
         if utt in data.fsegs:
             return data
+        del data
     raise ConfigError(f"unknown utterance {utt!r}: no speaker of the config has it")
 
 
@@ -801,7 +796,8 @@ def _cmd_synth(run: Run, args) -> None:
 
 def _cmd_optimize(run: Run, args) -> None:
     best, _ = grid_search(run)
-    for data in run.data:
+
+    def write(data: SpeakerData) -> None:
         spk_out = run.out / "optimized" / data.speaker
         spk_out.mkdir(parents=True, exist_ok=True)
         targets = run.stage(
@@ -811,6 +807,8 @@ def _cmd_optimize(run: Run, args) -> None:
         for opt in targets:
             opt.to_csv(spk_out / f"{opt.utterance_id}.csv")
         print(f"{data.speaker}: optimized {len(data.fsegs)} utterances to {spk_out}")
+
+    run.each_speaker(write)
 
 
 def _cmd_probe(run: Run, args) -> None:

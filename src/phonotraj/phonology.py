@@ -76,14 +76,15 @@ class ApCategoryScale:
         return self.rank(feature, category) / top if top else 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureTable:
     """Immutable phoneme -> feature-vector lookup.
 
     ``matrix`` is a read-only copy the table owns: row i encodes
     ``inventory[i]``, column j is ``names[j]``; ``row`` is the one lookup of
     a phone label's row.  ``groups`` lists the dimension-index blocks of
-    one-hot groups, when the encoding has any.
+    one-hot groups, when the encoding has any.  Tables compare and hash by
+    identity: a field-wise ``==`` over the matrix has no truth value.
     """
 
     set_id: str
@@ -91,7 +92,7 @@ class FeatureTable:
     inventory: tuple[str, ...]
     matrix: np.ndarray
     groups: tuple[tuple[int, ...], ...] = field(default=())
-    _rows: dict[str, int] = field(init=False, repr=False, compare=False)
+    _rows: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         matrix = np.array(self.matrix, dtype=float)
@@ -160,7 +161,7 @@ def load_ap_scale() -> ApCategoryScale:
     return ApCategoryScale(categories)
 
 
-def _read_rows(path: Path) -> tuple[tuple[str, ...], list[tuple[str, list[str]]]]:
+def _read_rows(path: Path) -> tuple[tuple[str, ...], list[tuple[int, str, list[str]]]]:
     lines = [(i, ln) for i, ln in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if ln.strip()]
     if not lines:
@@ -183,7 +184,7 @@ def _read_rows(path: Path) -> tuple[tuple[str, ...], list[tuple[str, list[str]]]
         if ph in seen:
             raise FeatureTableError(f"{path}:{i}: duplicate phoneme {ph!r}")
         seen.add(ph)
-        rows.append((ph, parts[1:]))
+        rows.append((i, ph, parts[1:]))
     return names, rows
 
 
@@ -233,12 +234,12 @@ def load_feature_table(path: str | Path, set_id: str) -> FeatureTable:
     header, rows = _read_rows(path)
     columns = _columns(path, set_id, header)
     vectors = {}
-    for ph, values in rows:
+    for i, ph, values in rows:
         row: list[float] = []
         for (_, cells), v in zip(columns, values):
             if v not in cells:
                 raise FeatureTableError(
-                    f"{path}: value {v!r} for {ph!r} not in {{{', '.join(cells)}}}")
+                    f"{path}:{i}: value {v!r} for {ph!r} not in {{{', '.join(cells)}}}")
             row += cells[v]
         vectors[ph] = row
     names, groups = [], []
@@ -251,7 +252,7 @@ def load_feature_table(path: str | Path, set_id: str) -> FeatureTable:
         raise FeatureTableError(
             f"{set_id}: table has {len(names)} dimensions, expected {BASE_DIMENSIONS[set_id]}")
     # A custom table defines its own inventory, silence appended.
-    inventory = (tuple(ph for ph, _ in rows) + (SILENCE,) if set_id in CUSTOM_SETS
+    inventory = (tuple(ph for _, ph, _ in rows) + (SILENCE,) if set_id in CUSTOM_SETS
                  else load_inventory())
     if vectors.keys() != set(inventory):
         raise FeatureTableError(f"{path}: labels in only one of the table and the inventory: "

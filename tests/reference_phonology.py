@@ -24,7 +24,7 @@ def load_feature_table(path: str | Path, set_id: str) -> FeatureTable:
         names, rows = _read_rows(path)
         unknown_as = -1.0 if "binary" in set_id else math.nan
         vectors = {}
-        for ph, values in rows:
+        for _, ph, values in rows:
             vec = np.empty(len(names))
             for j, v in enumerate(values):
                 if v == "0":
@@ -46,7 +46,7 @@ def load_feature_table(path: str | Path, set_id: str) -> FeatureTable:
         if set_id == "ap_scalar":
             names = names_in
             vectors = {}
-            for ph, values in rows:
+            for _, ph, values in rows:
                 vec = np.empty(len(names))
                 for j, v in enumerate(values):
                     vec[j] = math.nan if v == "0" else scale.scalar(names_in[j], v)
@@ -61,7 +61,7 @@ def load_feature_table(path: str | Path, set_id: str) -> FeatureTable:
                 names_list.extend(f"{feat}={c}" for c in cats)
             names = tuple(names_list)
             vectors = {}
-            for ph, values in rows:
+            for _, ph, values in rows:
                 vec = np.zeros(len(names))
                 for feat, group, v in zip(names_in, group_list, values):
                     if v == "0":
@@ -80,7 +80,7 @@ def load_feature_table(path: str | Path, set_id: str) -> FeatureTable:
             f"{set_id}: table has {len(names)} dimensions, expected {declared}"
         )
     if set_id.startswith("custom"):
-        inventory = tuple(ph for ph, _ in rows) + (SILENCE,)
+        inventory = tuple(ph for _, ph, _ in rows) + (SILENCE,)
     else:
         inventory = load_inventory()
     missing = [ph for ph in inventory if ph not in vectors]

@@ -90,6 +90,18 @@ def test_config_validates_method_and_splits():
         ExperimentConfig(dataset_root="/d", speakers=("a",), split_sizes=(5, 0, 1))
 
 
+def test_unknown_method_is_a_config_error(tmp_path, capsys):
+    # It used to be the forward layer's ForwardError, while every other bad
+    # field is a ConfigError.
+    with pytest.raises(ConfigError, match="unknown interpolation method 'bogus'"):
+        ExperimentConfig(dataset_root="/d", speakers=("a",), method="bogus")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"dataset_root": str(tmp_path), "speakers": ["a"]}),
+                        encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg_path), "--method", "bogus"]) == 1
+    assert "unknown interpolation method 'bogus'" in capsys.readouterr().err
+
+
 def test_config_rejects_frame_rate_other_than_100(tmp_path):
     # frame_rate is a class constant, not a field: a config cannot name it
     assert ExperimentConfig.frame_rate == 100.0
@@ -289,6 +301,20 @@ def test_rerun_reuses_cache(synth_root, tmp_path):
     assert (tmp_path / "cached" / "report.csv").exists()
 
 
+def test_a_corrupt_cache_entry_is_recomputed(pair_root, tmp_path):
+    cfg = synthetic_config(pair_root, utterances=14, out_dir=str(tmp_path / "out"))
+    _, manifest = run_experiment(cfg)
+    report = (tmp_path / "out" / "report.csv").read_bytes()
+    [key] = [s["key"] for s in manifest.stages if s["stage"] == "prepare/spk00"]
+    entry = tmp_path / "out" / "cache" / f"{key}.pkl"
+    assert entry.name.startswith("prep-")
+    entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
+    _, manifest = run_experiment(cfg)
+    assert {s["stage"]: s["cached"] for s in manifest.stages} == {
+        "prepare/spk00": False, "score/spk00": True, "prepare/spk01": True, "score/spk01": True}
+    assert (tmp_path / "out" / "report.csv").read_bytes() == report
+
+
 def test_noise_degrades_score_monotonically(tmp_path):
     scores = []
     for sigma in (0.0, 0.1, 0.5):
@@ -365,6 +391,34 @@ def test_a_run_with_a_grid_prepares_every_speaker_before_the_first_grid_point(
     assert events[3:] == [(part, s) for part in ("dev", "dev", "test") for s in cfg.speakers]
 
 
+def test_each_score_stage_after_a_grid_holds_only_its_own_speaker(trio_root, tmp_path,
+                                                                   monkeypatch):
+    # The score stages of an optimizing run used to hold every speaker the
+    # grid had prepared.
+    cfg = replace(synthetic_config(trio_root, utterances=14, speakers=3, method="cubic_hermite",
+                                   out_dir=str(tmp_path / "out")),
+                  optimize_timing=True, optimize_position=True, max_steps=1,
+                  grid={"timing_lrs": [1e-5], "position_lrs": [1e-2], "lambdas": [0.0]})
+    prepare, speaker_score, refs, alive = cli.Run.prepare, cli._speaker_score, [], []
+
+    def tracking(run, speaker):
+        data = prepare(run, speaker)
+        refs.append(weakref.ref(data))
+        return data
+
+    def scoring(data, point_cfg, optim, part):
+        if part == "test":
+            gc.collect()
+            alive.append((data.speaker, [r().speaker for r in refs if r() is not None]))
+        return speaker_score(data, point_cfg, optim, part)
+
+    monkeypatch.setattr(cli.Run, "prepare", tracking)
+    monkeypatch.setattr(cli, "_speaker_score", scoring)
+    run_experiment(cfg)
+    assert len(refs) == 2 * len(cfg.speakers)  # the grid's, then one per score stage
+    assert alive == [(s, [s]) for s in cfg.speakers]
+
+
 @pytest.mark.parametrize("method, optim", [
     ("linear", None), ("cubic_hermite", OptimConfig(max_steps=1, optimize_position=True))])
 def test_speaker_score_fits_the_probe_before_it_synthesizes_the_test_split(
@@ -401,8 +455,8 @@ def test_run_without_a_grid_scores_each_speaker_after_preparing_it(pair_root, tm
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert [s["stage"] for s in manifest["stages"]] == [
         "prepare/spk00", "score/spk00", "prepare/spk01", "score/spk01"]
-    every = cli.Run(replace(cfg, out_dir=str(tmp_path / "every"))).data
-    rows = [cli._speaker_score(d, cfg, None, "test")[0] for d in every]
+    every = cli.Run(replace(cfg, out_dir=str(tmp_path / "every")))
+    rows = [cli._speaker_score(every.prepare(s), cfg, None, "test")[0] for s in cfg.speakers]
     assert ((tmp_path / "out" / "report.csv").read_text()
             == aggregate(np.vstack(rows), cfg.speakers).to_csv())
 
@@ -566,6 +620,16 @@ def test_grid_command_writes_the_manifest(tiny_root, tmp_path):
     manifest = json.loads((Path(cfg.out_dir) / "manifest.json").read_text())
     assert [s["stage"] for s in manifest["stages"]] == ["prepare/spk00", "grid-eval", "grid-eval"]
     assert [s["lam"] for s in manifest["stages"][1:]] == [0.0, 1e3]
+
+
+def test_a_cached_grid_prepares_no_speaker(pair_root, tmp_path):
+    # A second grid used to reload every speaker from the cache, although
+    # every point was cached.
+    cfg_path = pair_config(pair_root, tmp_path)
+    assert cli.main(["grid", "--config", str(cfg_path)]) == 0
+    assert cli.main(["grid", "--config", str(cfg_path)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert [(s["stage"], s["cached"]) for s in manifest["stages"]] == [("grid-eval", True)]
 
 
 def test_grid_lists_only_the_axes_it_searched(tiny_root, tmp_path, capsys):
@@ -902,6 +966,8 @@ def pair_config(root, tmp_path, **grid) -> Path:
 def test_every_config_subcommand_writes_a_manifest(pair_root, tmp_path, monkeypatch, command):
     # ingest, synth, optimize, probe and plot used to write no manifest.json.
     # plot without --utterance used to prepare every speaker to draw the first's.
+    # run and optimize prepare every speaker for the grid, then reload each
+    # one from the cache in its own turn.
     monkeypatch.chdir(tmp_path)
     prepare = cli.prepare_speaker
     read = []
@@ -913,8 +979,11 @@ def test_every_config_subcommand_writes_a_manifest(pair_root, tmp_path, monkeypa
     monkeypatch.setattr(cli, "prepare_speaker", recording)
     assert cli.main([*command, "--config", str(pair_config(pair_root, tmp_path))]) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    prepared = [s["stage"] for s in manifest["stages"] if s["stage"].startswith("prepare/")]
-    assert prepared == [f"prepare/{s}" for s in read]
+    prepared = [(s["stage"], s["cached"]) for s in manifest["stages"]
+                if s["stage"].startswith("prepare/")]
+    reloads = read if command[0] in ("run", "optimize") else []
+    assert prepared == ([(f"prepare/{s}", False) for s in read]
+                        + [(f"prepare/{s}", True) for s in reloads])
     assert read == (["spk00"] if command[0] == "plot" else ["spk00", "spk01"])
 
 
@@ -958,12 +1027,18 @@ def test_repeated_optimize_serves_the_targets_from_the_cache(pair_root, tmp_path
 
 @pytest.mark.parametrize("utterance, speaker, other", [
     ("spk00_003", "spk00", "spk01"), ("spk01_003", "spk01", "spk00")])
-def test_synth_utterance_is_looked_up_over_every_speaker(pair_root, tmp_path, utterance,
-                                                          speaker, other):
+def test_synth_utterance_is_looked_up_over_every_speaker(pair_root, tmp_path, monkeypatch,
+                                                          utterance, speaker, other):
     # synth --utterance spk00_003 used to exit 1 at spk01, leaving an empty
     # trajectories/spk01/; spk01_003 failed at spk00 before writing anything.
+    # Both then prepared every speaker and held them all.
+    events = []
+    track_speakers(monkeypatch, events)
     assert cli.main(["synth", "--config", str(pair_config(pair_root, tmp_path)),
                      "--utterance", utterance]) == 0
+    # the speakers up to the one that has the id, each released before the next
+    prepared = ["spk00"] if speaker == "spk00" else ["spk00", "spk01"]
+    assert events == [("prepare", s, []) for s in prepared]
     out = tmp_path / "out" / "trajectories"
     assert sorted(p.name for p in (out / speaker).iterdir()) == [f"{utterance}.csv",
                                                                f"{utterance}.traj"]

@@ -197,7 +197,9 @@ def test_duplicate_phoneme_rejected(tmp_path):
 def test_bad_symbol_rejected(tmp_path):
     bad = tmp_path / "sym.tsv"
     bad.write_text("phoneme\tf1\na\t2\n", encoding="utf-8")
-    with pytest.raises(FeatureTableError, match="not in"):
+    # The message used to name the file but not the line, unlike every other row error.
+    with pytest.raises(FeatureTableError, match=re.escape(
+            f"{bad}:2: value '2' for 'a' not in {{+, -, 0}}")):
         load_feature_table(bad, "custom")
 
 
@@ -318,6 +320,15 @@ def test_table_owns_a_copy_of_its_matrix():
     np.testing.assert_array_equal(table.matrix, np.eye(2))
     encode_target(table, "a")[0] = 7.0  # a fresh array, not a view of the row
     np.testing.assert_array_equal(table.matrix, np.eye(2))
+
+
+def test_tables_compare_and_hash_by_identity():
+    # == used to compare the matrices field-wise and raise ValueError (their
+    # truth value is ambiguous); hash raised TypeError.
+    table, again = get_table("gp_unknown"), get_table("gp_unknown")
+    assert table == table and (table == again) is (table is again)
+    assert hash(table) == hash(table)
+    assert len({table, again, table}) == len({id(table), id(again)})
 
 
 @pytest.mark.parametrize("inventory, matrix, message", [
