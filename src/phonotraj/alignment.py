@@ -15,7 +15,7 @@ from pathlib import Path as _Path
 
 import numpy as np
 
-from .phonology import SILENCE, FeatureTable, normalize_label
+from .phonology import SILENCE, FeatureTable, normalize_label, read_text
 
 _TIME_EPS = 1e-6  # tolerated interval mismatch in seconds
 
@@ -46,33 +46,35 @@ class PhoneSegmentation:
     def __len__(self) -> int:
         return len(self.phones)
 
-    @property
-    def duration(self) -> float:
-        return self.phones[-1].end if self.phones else 0.0
-
 
 @dataclass(frozen=True)
 class FeaturalSegmentation:
     """Featural targets for one utterance.
 
-    X holds K+2 target rows (NaN = unknown entry), Y the matching time
+    Phone k is row ``rows[k]`` of ``targets``, a feature table's matrix held
+    by reference, so all segmentations of one table share it.  X, built on
+    every read and never stored, holds the K+2 target rows: the phones' rows
+    between two zero rows (NaN = unknown entry).  Y holds the matching time
     intervals and t the interval midpoints.  ``time_offset`` carries the
     leading-silence trim so EMA frames can be re-aligned later.
     """
 
     utterance_id: str
-    X: np.ndarray  # (K+2, d)
+    targets: np.ndarray  # (n, d)
+    rows: np.ndarray  # (K,) indices into targets
     Y: np.ndarray  # (K+2, 2)
     t: np.ndarray  # (K+2,)
     time_offset: float = 0.0
 
     @property
-    def num_targets(self) -> int:
-        return self.X.shape[0] - 2
+    def X(self) -> np.ndarray:
+        X = np.zeros((len(self.rows) + 2, self.targets.shape[1]))
+        X[1:-1] = self.targets[self.rows]
+        return X
 
     @property
-    def dimension(self) -> int:
-        return self.X.shape[1]
+    def num_targets(self) -> int:
+        return len(self.rows)
 
     @property
     def duration(self) -> float:
@@ -105,7 +107,7 @@ def parse_lab(path) -> PhoneSegmentation:
     """Parse a whitespace-separated `start end label` alignment file."""
     path = _Path(path)
     phones = []
-    for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for i, line in enumerate(read_text(path, AlignmentError).splitlines(), start=1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split()
@@ -217,15 +219,14 @@ def trim_and_filter(seg: PhoneSegmentation) -> PhoneSegmentation | None:
 
 
 def build_featural(seg: PhoneSegmentation, table: FeatureTable) -> FeaturalSegmentation:
-    """Replace phones with their rows of ``table.matrix`` and add the zero
-    boundary rows."""
+    """Replace phones with their rows of ``table.matrix``, which the
+    segmentation holds by reference."""
     if len(seg) == 0:
         raise AlignmentError(f"{seg.utterance_id}: cannot build targets from empty segmentation")
     end = seg.phones[-1].end
-    X = np.zeros((len(seg) + 2, table.dimension))
-    X[1:-1] = table.matrix[[table.row(ph.label) for ph in seg.phones]]
+    rows = np.array([table.row(ph.label) for ph in seg.phones])
     Y = np.array([(0.0, 0.0), *((ph.start, ph.end) for ph in seg.phones), (end, end)])
     t = Y.mean(axis=1)
     if not np.all(np.diff(t) > 0):
         raise AlignmentError(f"{seg.utterance_id}: midpoint timings are not strictly increasing")
-    return FeaturalSegmentation(seg.utterance_id, X, Y, t, time_offset=seg.offset)
+    return FeaturalSegmentation(seg.utterance_id, table.matrix, rows, Y, t, seg.offset)

@@ -381,7 +381,10 @@ def _speaker_input_hash(cfg: ExperimentConfig, table_digest: str, speaker: str) 
             yield ema_path.read_bytes()
             yield align_path.read_bytes()
 
-    return _hash_stream(chunks())
+    try:
+        return _hash_stream(chunks())
+    except OSError as exc:  # a file that cannot be read, such as a dangling link
+        raise ConfigError(f"{exc.filename}: {exc.strerror}") from exc
 
 
 class Run:
@@ -527,19 +530,24 @@ def grid_search(run: Run) -> tuple[OptimConfig, list[dict]]:
     to the smallest lambda, then the smallest learning rates through the
     deterministic grid order) and the per-point score table.  The descent
     keeps only steps that lower the objective, so a point whose rate
-    overshoots keeps its input targets and still has a dev score.  Each point
-    is a cached stage of ``run``; the first one that is not cached prepares
-    every speaker, and they are held until the grid returns.
+    overshoots keeps its input targets and still has a dev score; a grid in
+    which no point improved any utterance logs a warning.  Each point is a
+    cached stage of ``run``; the first one that is not cached prepares every
+    speaker, and they are held until the grid returns.
     """
     cfg = run.cfg
     if not cfg.wants_optimization:
         raise ConfigError("grid search requires optimization to be enabled")
     configs = grid_configs(cfg.optim, cfg.grid)
     every = functools.cache(lambda: [run.prepare(s) for s in cfg.speakers])
-    rows = [run.stage("grid-eval", run.key("grid", cfg.speakers, oc),
-                      lambda oc=oc: _grid_point(cfg, every(), oc),
-                      describe=lambda point: point[1])[0]
-            for oc in configs]
+    points = [run.stage("grid-eval", run.key("grid", cfg.speakers, oc),
+                        lambda oc=oc: _grid_point(cfg, every(), oc),
+                        describe=lambda point: point[1])
+              for oc in configs]
+    if not any(fields["improved"] for _, fields in points):
+        log.warning("no grid point improved any utterance: the optimizer returned its input "
+                    "targets at all %d points", len(points))
+    rows = [row for row, _ in points]
     best = configs[int(np.argmax([r["dev_score"] for r in rows]))]
     # the grid's fields it did not search: a disabled block's rate
     unused = {name for name, _, _ in GRID_AXES.values()}.difference(grid_fields(best))

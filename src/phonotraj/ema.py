@@ -35,6 +35,7 @@ import numpy as np
 
 from .alignment import FeaturalSegmentation
 from .forward import _scipy_extension, frame_count
+from .phonology import read_text
 
 CHANNELS = (
     "tt_x", "tt_y", "tb_x", "tb_y", "td_x", "td_y",
@@ -71,26 +72,12 @@ class EmaRecord:
         if self.sample_rate not in VALID_RATES:
             raise EmaError(f"{self.utterance_id}: unsupported sample rate {self.sample_rate}")
 
-    @property
-    def duration(self) -> float:
-        return self.channels.shape[0] / self.sample_rate
-
-    @property
-    def channel_names(self) -> tuple[str, ...]:
-        return CHANNELS
-
 
 @dataclass(frozen=True)
 class ArticulatorySeries:
     utterance_id: str
     Z: np.ndarray  # (n, 6) in PARAMETERS order
     frame_rate: float = 100.0
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(",".join(PARAMETERS) + "\n")
-            for row in self.Z:
-                f.write(",".join(f"{v:.9g}" for v in row) + "\n")
 
 
 def _repair_nans(channels: np.ndarray, utt: str) -> tuple[np.ndarray, int]:
@@ -197,7 +184,7 @@ def load_csv(path) -> EmaRecord:
     """CSV fallback: header row of channel names, including a time column in
     seconds from which the sample rate is read."""
     path = Path(path)
-    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+    lines = [ln for ln in read_text(path, EmaError).splitlines() if ln.strip()]
     if len(lines) < 2:
         raise EmaError(f"{path}: no data rows")
     names = [c.strip().lower() for c in lines[0].split(",")]

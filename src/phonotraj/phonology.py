@@ -82,16 +82,14 @@ class FeatureTable:
 
     ``matrix`` is a read-only copy the table owns: row i encodes
     ``inventory[i]``, column j is ``names[j]``; ``row`` is the one lookup of
-    a phone label's row.  ``groups`` lists the dimension-index blocks of
-    one-hot groups, when the encoding has any.  Tables compare and hash by
-    identity: a field-wise ``==`` over the matrix has no truth value.
+    a phone label's row.  Tables compare and hash by identity: a field-wise
+    ``==`` over the matrix has no truth value.
     """
 
     set_id: str
     names: tuple[str, ...]
     inventory: tuple[str, ...]
     matrix: np.ndarray
-    groups: tuple[tuple[int, ...], ...] = field(default=())
     _rows: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -121,6 +119,17 @@ def normalize_label(label: str) -> str:
     """Canonical form of a phone label; silence variants collapse to 'sil'."""
     label = label.strip().lower()
     return SILENCE if label in SILENCE_LABELS else label
+
+
+def read_text(path: Path, error: type[ValueError]) -> str:
+    """The UTF-8 text of an input file; one that cannot be read or decoded
+    raises ``error`` naming it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise error(f"{path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
 
 
 def _data_path(name: str) -> Path:
@@ -162,7 +171,7 @@ def load_ap_scale() -> ApCategoryScale:
 
 
 def _read_rows(path: Path) -> tuple[tuple[str, ...], list[tuple[int, str, list[str]]]]:
-    lines = [(i, ln) for i, ln in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+    lines = [(i, ln) for i, ln in enumerate(read_text(path, FeatureTableError).splitlines(), 1)
              if ln.strip()]
     if not lines:
         raise FeatureTableError(f"{path}: empty table")
@@ -242,11 +251,7 @@ def load_feature_table(path: str | Path, set_id: str) -> FeatureTable:
                     f"{path}:{i}: value {v!r} for {ph!r} not in {{{', '.join(cells)}}}")
             row += cells[v]
         vectors[ph] = row
-    names, groups = [], []
-    for dims, _ in columns:
-        if len(dims) > 1:  # a one-hot group
-            groups.append(tuple(range(len(names), len(names) + len(dims))))
-        names += dims
+    names = [name for dims, _ in columns for name in dims]
     vectors[SILENCE] = [0.0] * len(names)
     if len(names) != BASE_DIMENSIONS.get(set_id, len(names)):
         raise FeatureTableError(
@@ -257,17 +262,15 @@ def load_feature_table(path: str | Path, set_id: str) -> FeatureTable:
     if vectors.keys() != set(inventory):
         raise FeatureTableError(f"{path}: labels in only one of the table and the inventory: "
                                 f"{sorted(vectors.keys() ^ set(inventory))}")
-    return FeatureTable(set_id, tuple(names), inventory, [vectors[ph] for ph in inventory],
-                        tuple(groups))
+    return FeatureTable(set_id, tuple(names), inventory, [vectors[ph] for ph in inventory])
 
 
 def build_phoneme_onehot(inventory: tuple[str, ...] | None = None) -> FeatureTable:
     """One-hot table over the phoneme inventory (silence has its own index)."""
     if inventory is None:
         inventory = load_inventory()
-    d = len(inventory)
     names = tuple(f"ph={p}" for p in inventory)
-    return FeatureTable("phoneme_onehot", names, inventory, np.eye(d), (tuple(range(d)),))
+    return FeatureTable("phoneme_onehot", names, inventory, np.eye(len(inventory)))
 
 
 def enrich_with_phonemes(base: FeatureTable) -> FeatureTable:
@@ -275,9 +278,8 @@ def enrich_with_phonemes(base: FeatureTable) -> FeatureTable:
     if base.set_id.endswith(ENRICH_SUFFIX) or base.set_id == "phoneme_onehot":
         raise FeatureTableError(f"cannot enrich feature set {base.set_id!r}")
     onehot = build_phoneme_onehot(base.inventory)
-    groups = base.groups + tuple(tuple(base.dimension + i for i in g) for g in onehot.groups)
     return FeatureTable(base.set_id + ENRICH_SUFFIX, base.names + onehot.names, base.inventory,
-                        np.hstack([base.matrix, onehot.matrix]), groups)
+                        np.hstack([base.matrix, onehot.matrix]))
 
 
 def get_table(set_id: str, table_path: str | Path | None = None) -> FeatureTable:

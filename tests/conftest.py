@@ -8,6 +8,15 @@ from phonotraj.forward import InterpMethod
 from phonotraj.optimize import OptimConfig, gradients, objective
 
 
+def featural(utt: str, X, Y, t, time_offset: float = 0.0) -> FeaturalSegmentation:
+    """A segmentation whose ``X`` reads back as the explicit targets ``X``:
+    its inner rows are the segmentation's own targets, one per phone, and its
+    boundary rows must be zero."""
+    X = np.asarray(X, dtype=float)
+    assert np.all(X[[0, -1]] == 0.0), "boundary target rows must be zero"
+    return FeaturalSegmentation(utt, X[1:-1], np.arange(len(X) - 2), Y, t, time_offset)
+
+
 def random_fseg(
     rng: np.random.Generator,
     k: int | None = None,
@@ -32,7 +41,7 @@ def random_fseg(
         X[rng.random((k + 2, d)) < unknown_prob] = np.nan
     X[0] = 0.0
     X[-1] = 0.0
-    return FeaturalSegmentation(utt, X, Y, t)
+    return featural(utt, X, Y, t)
 
 
 def one_sided_derivative(f, x: float, h: float, side: int, order: int = 1) -> float:

@@ -36,7 +36,6 @@ def load_feature_table(path: str | Path, set_id: str) -> FeatureTable:
                         f"{path}: value {v!r} for {ph!r} not in {{+,-,0}}"
                     )
             vectors[ph] = vec
-        groups: tuple[tuple[int, ...], ...] = ()
     elif set_id in ("ap_scalar", "ap_onehot"):
         scale = load_ap_scale()
         names_in, rows = _read_rows(path)
@@ -51,7 +50,6 @@ def load_feature_table(path: str | Path, set_id: str) -> FeatureTable:
                 for j, v in enumerate(values):
                     vec[j] = math.nan if v == "0" else scale.scalar(names_in[j], v)
                 vectors[ph] = vec
-            groups = ()
         else:
             names_list: list[str] = []
             group_list: list[tuple[int, ...]] = []
@@ -69,7 +67,6 @@ def load_feature_table(path: str | Path, set_id: str) -> FeatureTable:
                     else:
                         vec[group[scale.rank(feat, v)]] = 1.0
                 vectors[ph] = vec
-            groups = tuple(group_list)
     else:
         raise FeatureTableError(f"unsupported set_id {set_id!r} for TSV loading")
 
@@ -87,7 +84,7 @@ def load_feature_table(path: str | Path, set_id: str) -> FeatureTable:
     if missing:
         raise FeatureTableError(f"{path}: inventory labels missing from table: {missing}")
     return FeatureTable(set_id, tuple(names), inventory,
-                        np.stack([vectors[ph] for ph in inventory]), groups)
+                        np.stack([vectors[ph] for ph in inventory]))
 
 
 def get_table(set_id: str) -> FeatureTable:

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import gradient_check, one_sided_derivative, random_fseg, synthetic_config
-from phonotraj.alignment import FeaturalSegmentation
+from conftest import (featural, gradient_check, one_sided_derivative, random_fseg,
+                      synthetic_config)
 from phonotraj.cli import ExperimentConfig, generate_synthetic, run_experiment
 from phonotraj.ema import ArticulatorySeries, EmaRecord, filter_and_downsample
 from phonotraj.forward import (InterpMethod, Trajectory, interpolate,
@@ -119,7 +119,7 @@ def test_criterion_3_objective_and_gradients():
             direct = attainment_term(Xp, fseg.X, fseg.specified)
             via_nodes = 0.0
             for dn in select_nodes(
-                FeaturalSegmentation("u", Xp, fseg.Y, fseg.t)
+                featural("u", Xp, fseg.Y, fseg.t)
             ):
                 inner = (dn.rows > 0) & (dn.rows < fseg.X.shape[0] - 1)
                 g = interpolate(dn, method, dn.times[inner]) if inner.any() else []

@@ -330,6 +330,26 @@ def test_build_featural_two_phone_midpoints():
     np.testing.assert_array_equal(out.Y[3], [0.6, 0.6])
 
 
+def test_segmentations_of_one_table_hold_its_matrix():
+    a = build_featural(seg(("aa", 0.0, 0.2), ("ae", 0.2, 0.6)), TABLE)
+    b = build_featural(seg(("p", 0.0, 0.3)), TABLE)
+    assert a.targets is TABLE.matrix and b.targets is TABLE.matrix
+    np.testing.assert_array_equal(a.rows, [TABLE.row("aa"), TABLE.row("ae")])
+    for out in (a, b):
+        np.testing.assert_array_equal(out.X[[0, -1]], 0.0)
+        np.testing.assert_array_equal(out.X[1:-1], TABLE.matrix[out.rows])
+
+
+def test_each_read_of_x_builds_a_fresh_array():
+    out = build_featural(seg(("aa", 0.0, 0.2), ("ae", 0.2, 0.6)), TABLE)
+    first, second = out.X, out.X
+    assert first is not second and not np.shares_memory(first, TABLE.matrix)
+    np.testing.assert_array_equal(first, second)
+    first[1] = 5.0
+    np.testing.assert_array_equal(out.X, second)
+    assert "X" not in vars(out)  # never cached on the instance
+
+
 def test_build_featural_empty_rejected():
     with pytest.raises(AlignmentError):
         build_featural(PhoneSegmentation("utt", ()), TABLE)

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import logging
 import re
 import time
 import weakref
@@ -313,6 +314,18 @@ def test_a_corrupt_cache_entry_is_recomputed(pair_root, tmp_path):
     assert {s["stage"]: s["cached"] for s in manifest.stages} == {
         "prepare/spk00": False, "score/spk00": True, "prepare/spk01": True, "score/spk01": True}
     assert (tmp_path / "out" / "report.csv").read_bytes() == report
+
+
+def test_a_cached_speaker_shares_one_targets_array(pair_root, tmp_path):
+    cfg = synthetic_config(pair_root, utterances=14, out_dir=str(tmp_path / "out"))
+    built = cli.Run(cfg).prepare("spk00")
+    run = cli.Run(cfg)
+    data = run.prepare("spk00")
+    assert [s["cached"] for s in run.manifest.stages] == [True]
+    [targets] = {id(f.targets): f.targets for f in data.fsegs.values()}.values()
+    np.testing.assert_array_equal(targets, run.table.matrix)
+    for utt, fseg in data.fsegs.items():
+        assert fseg.X.tobytes() == built.fsegs[utt].X.tobytes()
 
 
 def test_noise_degrades_score_monotonically(tmp_path):
@@ -647,10 +660,19 @@ def test_grid_lists_only_the_axes_it_searched(tiny_root, tmp_path, capsys):
     assert "timing_lr" not in point and (point["lam"], point["position_lr"]) == (1e3, 1e-2)
 
 
-def test_grid_of_only_overshooting_rates_scores_every_point(tiny_root, tmp_path):
+def test_grid_of_only_overshooting_rates_scores_every_point(tiny_root, tmp_path, caplog):
     cfg = small_grid_cfg(tiny_root, tmp_path, timing_lrs=[1e-5],
                          position_lrs=[1e150, 1e308], lambdas=[0.0, 1e3])
-    best, rows = grid_search(cli.Run(cfg))
+    warning = ("no grid point improved any utterance: the optimizer returned its input "
+               "targets at all 4 points")
+    for cached in (False, True):  # the counts are read from cached points too
+        caplog.clear()
+        run = cli.Run(cfg)
+        with caplog.at_level(logging.WARNING, logger="phonotraj.cli"):
+            best, rows = grid_search(run)
+        assert [s["cached"] for s in run.manifest.stages if s["stage"] == "grid-eval"] == [
+            cached] * 4
+        assert [r.getMessage() for r in caplog.records] == [warning]
     assert len(rows) == 4 and all(np.isfinite(r["dev_score"]) for r in rows)
     # every point keeps the input targets, so the first point wins the tie
     assert len({r["dev_score"] for r in rows}) == 1
@@ -705,6 +727,46 @@ def test_short_500hz_track_fails_cleanly(tmp_path, capsys):
     assert "spk00_003: 18 samples at 500 Hz" in capsys.readouterr().err
 
 
+def _not_utf8(path: Path) -> Path:
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\xff\n", 1))
+    return path
+
+
+def _csv_not_utf8(root: Path) -> Path:
+    ema = root / "spk00" / "spk00_003.ema"
+    write_csv(ema.with_suffix(".csv"), load_est_track(ema))
+    ema.unlink()
+    return _not_utf8(ema.with_suffix(".csv"))
+
+
+def _dangling_ema(root: Path) -> Path:
+    ema = root / "spk00" / "spk00_003.ema"
+    ema.unlink()
+    ema.symlink_to(root / "gone.ema")
+    return ema
+
+
+@pytest.mark.parametrize("unreadable", [
+    lambda root: _not_utf8(root / "spk00" / "spk00_003.lab"),
+    _csv_not_utf8,
+    _dangling_ema,
+    lambda root: root / "missing.tsv",
+    lambda root: _not_utf8(root / "features.tsv"),
+], ids=["lab-not-utf8", "csv-not-utf8", "dangling-ema", "missing-table", "table-not-utf8"])
+def test_an_unreadable_input_file_is_a_validation_error_naming_it(tmp_path, capsys,
+                                                                    unreadable):
+    root = tmp_path / "data"
+    generate_synthetic(root, speakers=1, utterances=14, dim=4, seed=2)
+    path = unreadable(root)
+    cfg = synthetic_config(root, utterances=14, speakers=1, out_dir=str(tmp_path / "out"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(replace(cfg, feature_table_path=path.name if path.suffix == ".tsv"
+                                else cfg.feature_table_path).to_json(), encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and str(path) in err and "runtime failure" not in err
+
+
 def test_run_experiment_with_optimization(tiny_root, tmp_path):
     cfg = small_grid_cfg(tiny_root, tmp_path,
                          timing_lrs=[1e-5], position_lrs=[1e-2],
@@ -748,7 +810,8 @@ def grid_evals(cfg) -> list[dict]:
     return [s for s in manifest["stages"] if s["stage"] == "grid-eval"]
 
 
-def test_grid_eval_counts_optimized_and_improved_utterances(tiny_root, tmp_path, monkeypatch):
+def test_grid_eval_counts_optimized_and_improved_utterances(tiny_root, tmp_path, monkeypatch,
+                                                            caplog):
     cfg = small_grid_cfg(tiny_root, tmp_path, timing_lrs=[1e-5], position_lrs=[1e-2],
                          lambdas=[0.0, 1e3])
     train_ids = set(prepare_speaker(cfg, resolve_table(cfg), "spk00").splits.train)
@@ -759,7 +822,9 @@ def test_grid_eval_counts_optimized_and_improved_utterances(tiny_root, tmp_path,
         return replace(best, steps=1) if fseg.utterance_id in train_ids else best
 
     monkeypatch.setattr(cli, "optimize_targets", one_step_on_train)
-    run_experiment(cfg)
+    with caplog.at_level(logging.WARNING, logger="phonotraj.cli"):
+        run_experiment(cfg)
+    assert not [r for r in caplog.records if "no grid point improved" in r.getMessage()]
     n_train, n_dev, _ = cfg.split_sizes
     for entry in grid_evals(cfg):
         assert entry["optimized"] == n_train + n_dev

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from scipy.signal import butter, filtfilt, lfilter_zi
 
+from conftest import featural
 from phonotraj import ema
-from phonotraj.alignment import FeaturalSegmentation
 from phonotraj.ema import (CHANNELS, PARAMETERS, ArticulatorySeries, EmaError,
                            EmaRecord, align_frames, filter_and_downsample,
                            fit_guided_pca, load_csv, load_ema, load_est_track,
@@ -77,7 +77,6 @@ def test_est_rate_inferred_from_time_column(tmp_path):
     path.write_bytes(head + b"EST_Header_End" + tail)
     back = load_est_track(path)
     assert back.sample_rate == 500
-    assert back.channel_names == CHANNELS
 
 
 def test_est_and_csv_agree(tmp_path):
@@ -504,7 +503,7 @@ def test_project_requires_100hz():
 def _fseg_span(duration, offset):
     X = np.zeros((3, 1))
     Y = np.array([[0.0, 0.0], [0.0, duration], [duration, duration]])
-    return FeaturalSegmentation("u", X, Y, Y.mean(axis=1), time_offset=offset)
+    return featural("u", X, Y, Y.mean(axis=1), time_offset=offset)
 
 
 def test_align_crops_at_trim_offset():
@@ -535,12 +534,3 @@ def test_align_rejects_short_series():
 def test_parameter_names():
     assert PARAMETERS == ("jaw_height", "tongue_body", "tongue_dorsum",
                           "tongue_tip", "lip_protrusion", "lip_height")
-
-
-def test_articulatory_series_csv(tmp_path):
-    z = ArticulatorySeries("u", np.arange(12.0).reshape(2, 6))
-    path = tmp_path / "z.csv"
-    z.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == ",".join(PARAMETERS)
-    assert len(lines) == 3

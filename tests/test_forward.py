@@ -6,9 +6,9 @@ import pytest
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.linalg import solve_banded
 
-from conftest import one_sided_derivative, random_fseg
+from conftest import featural, one_sided_derivative, random_fseg
 from phonotraj import forward
-from phonotraj.alignment import FeaturalSegmentation, Phone, PhoneSegmentation, build_featural
+from phonotraj.alignment import Phone, PhoneSegmentation, build_featural
 from phonotraj.forward import (
     DimensionNodes,
     ForwardError,
@@ -54,7 +54,7 @@ def test_select_nodes_drops_unknowns():
     X = fseg.X.copy()
     X[2, 0] = np.nan          # one unknown in dim 0
     X[1:-1, 1] = np.nan       # all intermediates unknown in dim 1
-    fseg = FeaturalSegmentation("u", X, fseg.Y, fseg.t)
+    fseg = featural("u", X, fseg.Y, fseg.t)
     dims = select_nodes(fseg)
     assert dims[0].times.size == 4   # K+1
     assert dims[1].times.size == 2   # boundary nodes only
@@ -345,7 +345,7 @@ def test_synthesis_matches_numpy_and_scipy_interpolants():
             if case % 2:
                 frames = synthesize_targets("u", t, X, m, 100.0).frames
             else:
-                frames = synthesize(FeaturalSegmentation("u", X, fseg.Y, t), m, 100.0).frames
+                frames = synthesize(featural("u", X, fseg.Y, t), m, 100.0).frames
             for j in range(X.shape[1]):
                 rows = np.flatnonzero(~np.isnan(X[:, j]))
                 ref = _reference(m, t[rows], X[rows, j])(taus)

@@ -6,9 +6,8 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
-from conftest import gradient_check, random_fseg
+from conftest import featural, gradient_check, random_fseg
 from phonotraj import forward
-from phonotraj.alignment import FeaturalSegmentation
 from phonotraj.forward import (DimensionNodes, InterpMethod, interpolate,
                                second_derivative)
 from phonotraj.optimize import (REL_TOL, OptimConfig, OptimizeError, attainment_term,
@@ -23,7 +22,7 @@ def three_node_fseg(middle=1.0):
     X = np.array([[0.0], [middle], [0.0]])
     Y = np.array([[0.0, 0.0], [0.0, 2.0], [2.0, 2.0]])
     t = Y.mean(axis=1)
-    return FeaturalSegmentation("u", X, Y, t)
+    return featural("u", X, Y, t)
 
 
 def quad_smoothness(fseg, method, t=None, X=None):
@@ -204,7 +203,7 @@ def test_gradient_check_flat_objective():
     Y[1:-1, 0] = bounds[:-1]
     Y[1:-1, 1] = bounds[1:]
     Y[-1] = bounds[-1]
-    fseg = FeaturalSegmentation("u", X, Y, Y.mean(axis=1))
+    fseg = featural("u", X, Y, Y.mean(axis=1))
     gX, gt = gradients(fseg.t, fseg.X, fseg.specified, fseg.X, 0.0, N)
     np.testing.assert_array_equal(gX, 0.0)
     np.testing.assert_array_equal(gt, 0.0)
