@@ -9,6 +9,7 @@ repeats the final phone offset.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path as _Path
@@ -90,6 +91,9 @@ def _validate_contiguous(utt: str, phones: list[Phone]) -> None:
         raise AlignmentError(f"{utt}: empty segmentation")
     prev_end = None
     for ph in phones:
+        if not (math.isfinite(ph.start) and math.isfinite(ph.end)):
+            raise AlignmentError(
+                f"{utt}: non-finite time in [{ph.start}, {ph.end}] for {ph.label!r}")
         if ph.start < -_TIME_EPS:
             raise AlignmentError(f"{utt}: negative start time {ph.start} for {ph.label!r}")
         if ph.end <= ph.start:
@@ -148,7 +152,7 @@ def parse_textgrid(path) -> PhoneSegmentation:
     text) triples.
     """
     path = _Path(path)
-    tokens = _textgrid_tokens(path, path.read_text(encoding="utf-8", errors="replace"))
+    tokens = _textgrid_tokens(path, read_text(path, AlignmentError))
     if "IntervalTier" not in tokens:  # consumes the tokens up to the tier's class
         raise AlignmentError(f"{path}: no interval tier found")
 

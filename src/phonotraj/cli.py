@@ -776,14 +776,17 @@ def _cmd_ingest(run: Run, args) -> None:
 
 
 def _find_utterance(run: Run, utt: str) -> SpeakerData:
-    """The first speaker, in config order, that holds utterance ``utt``; a
-    speaker without it is released before the next one is prepared."""
-    for speaker in run.cfg.speakers:
-        data = run.prepare(speaker)
-        if utt in data.fsegs:
-            return data
-        del data
-    raise ConfigError(f"unknown utterance {utt!r}: no speaker of the config has it")
+    """The first speaker, in config order, whose files hold utterance
+    ``utt``, found by file name: only that speaker is prepared."""
+    root = Path(run.cfg.dataset_root)
+    speaker = next((s for s in run.cfg.speakers
+                    if any(u == utt for u, _, _ in discover_utterances(root, s))), None)
+    if speaker is None:
+        raise ConfigError(f"unknown utterance {utt!r}: no speaker of the config has it")
+    data = run.prepare(speaker)
+    if utt not in data.fsegs:
+        raise ConfigError(f"utterance {utt!r} of {speaker} was rejected at trim")
+    return data
 
 
 def _cmd_synth(run: Run, args) -> None:
@@ -933,4 +936,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    from phonotraj.cli import main  # so that cached values pickle as phonotraj.cli's classes
     sys.exit(main())

@@ -110,7 +110,9 @@ def _parse_est_header(raw: bytes, path) -> tuple[dict, int]:
     end = raw.find(b"EST_Header_End")
     if not raw.startswith(b"EST_File") or end < 0:
         raise EmaError(f"{path}: not an EST track file")
-    end = raw.index(b"\n", end) + 1
+    end = raw.find(b"\n", end) + 1
+    if end == 0:
+        raise EmaError(f"{path}: truncated header")
     fields: dict[str, str] = {}
     for line in raw[:end].decode("ascii", errors="replace").splitlines():
         parts = line.split(None, 1)

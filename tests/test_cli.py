@@ -2,7 +2,11 @@ import gc
 import hashlib
 import json
 import logging
+import os
+import pickle
 import re
+import subprocess
+import sys
 import time
 import weakref
 from dataclasses import replace
@@ -643,6 +647,12 @@ def test_a_cached_grid_prepares_no_speaker(pair_root, tmp_path):
     assert cli.main(["grid", "--config", str(cfg_path)]) == 0
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert [(s["stage"], s["cached"]) for s in manifest["stages"]] == [("grid-eval", True)]
+    # run after it then loads and scores each speaker in its own turn
+    assert cli.main(["run", "--config", str(cfg_path)]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert [(s["stage"], s["cached"]) for s in manifest["stages"]] == [
+        ("grid-eval", True), ("prepare/spk00", True), ("score/spk00", False),
+        ("prepare/spk01", True), ("score/spk01", False)]
 
 
 def test_grid_lists_only_the_axes_it_searched(tiny_root, tmp_path, capsys):
@@ -727,8 +737,50 @@ def test_short_500hz_track_fails_cleanly(tmp_path, capsys):
     assert "spk00_003: 18 samples at 500 Hz" in capsys.readouterr().err
 
 
+def test_a_run_on_500hz_tracks_scores_close_to_the_100hz_run(tmp_path, capsys, monkeypatch):
+    # Only a failing 500 Hz track was run through the command; no test took
+    # one through filtering and decimation to a score.
+    root = tmp_path / "data"
+    generate_synthetic(root, speakers=2, utterances=14, dim=4, seed=2)
+    filter_and_downsample, filtered = cli.filter_and_downsample, []
+    monkeypatch.setattr(cli, "filter_and_downsample",
+                        lambda rec: filtered.append(rec.utterance_id) or filter_and_downsample(rec))
+    scores = []
+    for rate in (100, 500):
+        if rate == 500:  # each track resampled x5: linear between its 100 Hz samples
+            for track in sorted(root.glob("spk*/*.ema")):
+                rec = load_est_track(track)
+                n = rec.channels.shape[0]
+                fine = np.arange(5 * n) / 5
+                channels = np.column_stack([np.interp(fine, np.arange(n), c)
+                                            for c in rec.channels.T])
+                write_est_track(track, EmaRecord(rec.utterance_id, 500, channels))
+        cfg_path = tmp_path / f"cfg-{rate}.json"
+        cfg_path.write_text(synthetic_config(root, utterances=14,
+                                             out_dir=str(tmp_path / f"out-{rate}")).to_json(),
+                            encoding="utf-8")
+        assert cli.main(["run", "--config", str(cfg_path)]) == 0
+        scores.append(float(capsys.readouterr().out.split("articulatory score: ")[1]))
+    assert len(filtered) == 28  # the 500 Hz run filtered every track, the 100 Hz one none
+    assert scores[0] > 0.99 and abs(scores[1] - scores[0]) < 0.02, scores
+
+
 def _not_utf8(path: Path) -> Path:
     path.write_bytes(path.read_bytes().replace(b"\n", b"\xff\n", 1))
+    return path
+
+
+def _lab_as_textgrid(utt: Path) -> Path:
+    """The utterance's .lab alignment, replaced by the same intervals in a
+    short-form TextGrid."""
+    lab = utt.with_suffix(".lab")
+    rows = [line.split() for line in lab.read_text(encoding="utf-8").splitlines()]
+    lab.unlink()
+    path = utt.with_suffix(".TextGrid")
+    path.write_text('File type = "ooTextFile"\nObject class = "TextGrid"\n"IntervalTier"\n'
+                    f'"phones"\n0\n{rows[-1][1]}\n{len(rows)}\n'
+                    + "".join(f'{start}\n{end}\n"{label}"\n' for start, end, label in rows),
+                    encoding="utf-8")
     return path
 
 
@@ -752,7 +804,9 @@ def _dangling_ema(root: Path) -> Path:
     _dangling_ema,
     lambda root: root / "missing.tsv",
     lambda root: _not_utf8(root / "features.tsv"),
-], ids=["lab-not-utf8", "csv-not-utf8", "dangling-ema", "missing-table", "table-not-utf8"])
+    lambda root: _not_utf8(_lab_as_textgrid(root / "spk00" / "spk00_003")),
+], ids=["lab-not-utf8", "csv-not-utf8", "dangling-ema", "missing-table", "table-not-utf8",
+        "textgrid-not-utf8"])
 def test_an_unreadable_input_file_is_a_validation_error_naming_it(tmp_path, capsys,
                                                                     unreadable):
     root = tmp_path / "data"
@@ -993,6 +1047,22 @@ def test_cli_end_to_end(tmp_path, capsys):
         assert sorted(saved.files) == ["best_dev_loss", "bias", "weight"]
 
 
+def test_python_m_cli_writes_a_cache_the_package_reads(tiny_root, tmp_path):
+    # ``python -m phonotraj.cli`` used to pickle __main__.SpeakerData, which
+    # the phonotraj command and the library could not load: they silently
+    # prepared the speaker again.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(synthetic_config(tiny_root, utterances=14, speakers=1,
+                                         out_dir=str(tmp_path / "out")).to_json(),
+                        encoding="utf-8")
+    src = Path(cli.__file__).resolve().parents[1]
+    subprocess.run([sys.executable, "-m", "phonotraj.cli", "run", "--config", str(cfg_path)],
+                   check=True, capture_output=True, env={**os.environ, "PYTHONPATH": str(src)})
+    [prep] = (tmp_path / "out" / "cache").glob("prep-*.pkl")
+    with open(prep, "rb") as f:
+        assert type(pickle.load(f)) is cli.SpeakerData
+
+
 def test_subcommands_read_speakers_from_the_run_cache(tmp_path, monkeypatch):
     root = tmp_path / "ds"
     generate_synthetic(root, speakers=1, utterances=14, dim=4, seed=5)
@@ -1096,14 +1166,13 @@ def test_synth_utterance_is_looked_up_over_every_speaker(pair_root, tmp_path, mo
                                                           utterance, speaker, other):
     # synth --utterance spk00_003 used to exit 1 at spk01, leaving an empty
     # trajectories/spk01/; spk01_003 failed at spk00 before writing anything.
-    # Both then prepared every speaker and held them all.
+    # Both then prepared every speaker and held them all, and later each
+    # speaker up to the one that has the id.
     events = []
     track_speakers(monkeypatch, events)
     assert cli.main(["synth", "--config", str(pair_config(pair_root, tmp_path)),
                      "--utterance", utterance]) == 0
-    # the speakers up to the one that has the id, each released before the next
-    prepared = ["spk00"] if speaker == "spk00" else ["spk00", "spk01"]
-    assert events == [("prepare", s, []) for s in prepared]
+    assert events == [("prepare", speaker, [])]  # the id is found by file name
     out = tmp_path / "out" / "trajectories"
     assert sorted(p.name for p in (out / speaker).iterdir()) == [f"{utterance}.csv",
                                                                f"{utterance}.traj"]
@@ -1120,6 +1189,22 @@ def test_plot_utterance_is_looked_up_over_every_speaker(pair_root, tmp_path, cap
     for command in (["plot", "--svg", str(svg)], ["synth"]):
         assert cli.main([*command, "--config", str(cfg_path), "--utterance", "spk02_000"]) == 1
         assert "unknown utterance 'spk02_000'" in capsys.readouterr().err
+
+
+def test_an_utterance_rejected_at_trim_is_named_as_such(tmp_path, capsys):
+    # It used to be reported as an unknown utterance.
+    root = tmp_path / "ds"
+    generate_synthetic(root, speakers=1, utterances=14, dim=4, seed=5)
+    lab = root / "spk00" / "spk00_003.lab"
+    lines = lab.read_text(encoding="utf-8").splitlines(keepends=True)
+    lab.write_text("".join(lines[:-1]), encoding="utf-8")  # speech runs into the end
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(synthetic_config(root, utterances=14, speakers=1,
+                                         out_dir=str(tmp_path / "out")).to_json(),
+                        encoding="utf-8")
+    for command in (["plot", "--svg", str(tmp_path / "traj.svg")], ["synth"]):
+        assert cli.main([*command, "--config", str(cfg_path), "--utterance", "spk00_003"]) == 1
+        assert "utterance 'spk00_003' of spk00 was rejected at trim" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("existing, added", [
@@ -1157,6 +1242,20 @@ def _cut_est_track(utt: Path) -> None:
     ema.write_bytes(ema.read_bytes()[:-64])
 
 
+def _est_header_cut(utt: Path) -> None:
+    ema = utt.with_suffix(".ema")
+    raw = ema.read_bytes()
+    ema.write_bytes(raw[: raw.index(b"EST_Header_End") + len(b"EST_Header_End")])
+
+
+def _lab_with_nan_end(utt: Path) -> None:
+    lab = utt.with_suffix(".lab")
+    lines = lab.read_text(encoding="utf-8").splitlines()
+    start, _, label = lines[1].split()
+    lines[1] = f"{start} nan {label}"
+    lab.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def _ascii_est_track(utt: Path) -> None:
     ema = utt.with_suffix(".ema")
     ema.write_bytes(ema.read_bytes().replace(b"DataType binary", b"DataType ascii"))
@@ -1187,9 +1286,15 @@ def _textgrid_with_time(time: str):
     (_csv_replacing("\n0.01,", "\n0.01x,"), "'0.01x'"),
     (_csv_replacing("\n0.01,", "\n"), "ragged CSV rows"),
     (_textgrid_with_time("1s"), "'1s' is not a number"),
-], ids=["est-truncated", "est-ascii", "csv-non-numeric", "csv-ragged", "textgrid-bad-time"])
+    (_est_header_cut, "spk00_003.ema: truncated header"),
+    (_lab_with_nan_end, "spk00_003: non-finite time in ["),
+    (_textgrid_with_time("+nan"), "spk00_003: non-finite time in [0.0, nan]"),
+], ids=["est-truncated", "est-ascii", "csv-non-numeric", "csv-ragged", "textgrid-bad-time",
+        "est-header-cut", "lab-nan-time", "textgrid-nan-time"])
 def test_malformed_input_file_is_a_validation_error(tmp_path, capsys, corrupt, message):
     # Each of these used to end in a plain ValueError: exit 2, "runtime failure".
+    # A .lab nan time used to fail later, as midpoints that do not increase,
+    # and a lone nan TextGrid interval passed as an utterance rejected at trim.
     root = tmp_path / "ds"
     generate_synthetic(root, speakers=1, utterances=14, dim=4, seed=5)
     corrupt(root / "spk00" / "spk00_003")

@@ -1,9 +1,11 @@
+import json
 import re
 
 import numpy as np
 import pytest
 
 import reference_phonology as reference
+from phonotraj import cli
 from phonotraj.alignment import Phone, PhoneSegmentation, build_featural
 from phonotraj.phonology import (
     FeatureTable,
@@ -54,6 +56,7 @@ def test_enriched_dimensions(set_id, d):
     # elsewhere for the enriched AP sets are not reproducible from 32+47 and
     # 8+47; this package uses the arithmetic.)
     assert get_table(set_id).dimension == d
+    assert get_table(set_id).matrix.shape == (47, d)
 
 
 def test_encode_round_trip_equals_stored_row():
@@ -343,14 +346,22 @@ def test_table_invariants(inventory, matrix, message):
 
 
 @pytest.mark.parametrize("label", ["sil", "sp", "SPN", ""])
-def test_silence_row_in_a_table_rejected(tmp_path, label):
+def test_silence_row_in_a_table_rejected(tmp_path, capsys, label):
     # A custom table listing silence used to put it twice in the inventory:
     # ('aa', 'sil', 'b', 'sil'), so custom_phoneme had two ph=sil dimensions.
     path = tmp_path / "features.tsv"
     path.write_text(f"phoneme\tf0\naa\t+\n\n{label}\t-\nb\t0\n", encoding="utf-8")
+    message = f"{path}:4: silence row {label!r}"
     for set_id in CUSTOM_IDS:
-        with pytest.raises(FeatureTableError, match=re.escape(f"{path}:4: silence row {label!r}")):
+        with pytest.raises(FeatureTableError, match=re.escape(message)):
             get_table(set_id, path)
+    # the command rejects it as a validation error before any input is read
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"dataset_root": str(tmp_path), "speakers": ["spk00"],
+                                  "feature_set": "custom", "feature_table_path": path.name,
+                                  "out_dir": str(tmp_path / "out")}), encoding="utf-8")
+    assert cli.main(["run", "--config", str(config)]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_shipped_table_labels_must_be_the_inventory(tmp_path):
