@@ -17,11 +17,14 @@ import functools
 import hashlib
 import json
 import logging
+import os
 import pickle
 import sys
+import tempfile
 import time
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -212,22 +215,16 @@ def discover_utterances(root: Path, speaker: str) -> list[tuple[str, Path, Path]
     return out
 
 
-def _hash_stream(chunks: Iterable[bytes]) -> str:
-    """SHA-256 of the chunks, each after its 8-byte length.  Chunks are taken
-    one at a time, so a generator of file contents holds one file at once."""
+def _digest(parts: Iterable) -> str:
+    """SHA-256 of the parts, each after its 8-byte length: bytes as they are,
+    any other part as its sorted JSON.  Parts are taken one at a time, so a
+    generator of file contents holds one file at once."""
     h = hashlib.sha256()
-    for c in chunks:
-        h.update(len(c).to_bytes(8, "little"))
-        h.update(c)
+    for part in parts:
+        b = part if isinstance(part, bytes) else json.dumps(part, sort_keys=True).encode()
+        h.update(len(b).to_bytes(8, "little"))
+        h.update(b)
     return h.hexdigest()
-
-
-def _hash_bytes(*chunks: bytes) -> str:
-    return _hash_stream(chunks)
-
-
-def _hash_obj(obj) -> str:
-    return _hash_bytes(json.dumps(obj, sort_keys=True, default=str).encode())
 
 
 class Cache:
@@ -251,10 +248,15 @@ class Cache:
             return None
 
     def put(self, key: str, value) -> None:
-        tmp = self.path(key).with_suffix(".tmp")
-        with open(tmp, "wb") as f:
-            pickle.dump(value, f)
-        tmp.replace(self.path(key))
+        """Write through this writer's own temporary file: runs may share a cache."""
+        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as f:
+                pickle.dump(value, f)
+            os.replace(tmp, self.path(key))
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 @dataclass
@@ -337,12 +339,6 @@ def prepare_speaker(cfg: ExperimentConfig, table: FeatureTable, speaker: str) ->
     return SpeakerData(speaker, splits, fsegs, series, tuple(rejected), repairs)
 
 
-def _table_digest(table: FeatureTable) -> str:
-    """Digest of a resolved table's contents: feature names, labels and values."""
-    return _hash_bytes(_hash_obj([table.names, table.inventory]).encode(),
-                       table.matrix.tobytes())
-
-
 @functools.cache
 def _source_digest() -> str:
     """Digest of the package's own code and data files, read once per process,
@@ -350,47 +346,14 @@ def _source_digest() -> str:
     directly, decide output bits too."""
     pkg = Path(__file__).resolve().parent
     files = sorted(pkg.glob("*.py")) + sorted(pkg.glob("data/*"))
-
-    def chunks():
-        yield np.__version__.encode()
-        yield scipy.__version__.encode()
-        for p in files:
-            yield p.relative_to(pkg).as_posix().encode()
-            yield p.read_bytes()
-
-    return _hash_stream(chunks())
-
-
-def _speaker_input_hash(cfg: ExperimentConfig, table_digest: str, speaker: str) -> str:
-    """Digest of everything that decides a speaker's prepared data: its input
-    files, the feature table's contents, the split config and the package
-    source."""
-    utterances = discover_utterances(Path(cfg.dataset_root), speaker)
-    cfg_slice = {
-        "feature_set": cfg.feature_set,
-        "feature_table": table_digest,
-        "split_sizes": cfg.split_sizes,
-        "seed": cfg.seed,
-    }
-
-    def chunks():
-        yield _source_digest().encode()
-        yield _hash_obj(cfg_slice).encode()
-        for utt, ema_path, align_path in utterances:  # each file read as it is hashed
-            yield utt.encode()
-            yield ema_path.read_bytes()
-            yield align_path.read_bytes()
-
-    try:
-        return _hash_stream(chunks())
-    except OSError as exc:  # a file that cannot be read, such as a dangling link
-        raise ConfigError(f"{exc.filename}: {exc.strerror}") from exc
+    return _digest(chain((np.__version__, scipy.__version__), chain.from_iterable(
+        (p.relative_to(pkg).as_posix(), p.read_bytes()) for p in files)))
 
 
 class Run:
-    """One run's cache, manifest, resolved feature table and per-speaker
-    input digests; it holds no prepared speaker.  ``stage`` is the only code
-    that reads or writes the cache and records a stage in the manifest."""
+    """One run's cache, manifest, resolved feature table and the input digests
+    its stages asked for; it holds no prepared speaker.  ``stage`` is the only
+    code that reads or writes the cache and records a stage in the manifest."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -403,12 +366,25 @@ class Run:
         self.cache = Cache(self.out / "cache")
         self.manifest = RunManifest(config=json.loads(json.dumps(asdict(cfg), default=str)),
                                     source_digest=_source_digest())
+        self._digests: dict[str, str] = {}
 
-    @functools.cached_property
-    def input_hash(self) -> dict[str, str]:
-        """Each speaker's input digest, hashed when a stage first needs it."""
-        table_digest = _table_digest(self.table)
-        return {s: _speaker_input_hash(self.cfg, table_digest, s) for s in self.cfg.speakers}
+    def digest(self, speaker: str) -> str:
+        """Digest of everything that decides ``speaker``'s prepared data: the
+        package source, the feature table's contents, the split config, the
+        speaker's name and its input files, each file read as it is hashed.
+        Made when a stage of ``speaker`` first asks for it."""
+        if speaker not in self._digests:
+            cfg, table = self.cfg, self.table
+            head = (_source_digest(), cfg.feature_set, table.names, table.inventory,
+                    table.matrix.tobytes(), cfg.split_sizes, cfg.seed, speaker)
+            utts = discover_utterances(Path(cfg.dataset_root), speaker)
+            files = chain.from_iterable((utt.encode(), ema.read_bytes(), align.read_bytes())
+                                        for utt, ema, align in utts)
+            try:
+                self._digests[speaker] = _digest(chain(head, files))
+            except OSError as exc:  # a file that cannot be read, such as a dangling link
+                raise ConfigError(f"{exc.filename}: {exc.strerror}") from exc
+        return self._digests[speaker]
 
     def stage(self, name: str, key: str, compute, describe=None):
         """The cached value under ``key``, or ``compute()`` stored there.
@@ -435,15 +411,13 @@ class Run:
 
     def key(self, kind: str, speakers, optim: OptimConfig | None) -> str:
         """Key of a synthesis stage over ``speakers``: their input digests,
-        in order, and the settings that decide the trajectories."""
-        cfg_slice = {"method": self.cfg.method, "frame_rate": self.cfg.frame_rate,
-                     "optim": asdict(optim) if optim else None}
-        return f"{kind}-" + _hash_bytes(*(self.input_hash[s].encode() for s in speakers),
-                                        _hash_obj(cfg_slice).encode())
+        in order, and the settings that decide the trajectories, the method
+        by its id, so every spelling of one method shares a key."""
+        return f"{kind}-" + _digest([*map(self.digest, speakers), self.cfg.interp_method.value,
+                                     self.cfg.frame_rate, asdict(optim) if optim else None])
 
     def prepare(self, speaker: str) -> SpeakerData:
-        key = "prep-" + _hash_bytes(self.input_hash[speaker].encode(), speaker.encode())
-        return self.stage(f"prepare/{speaker}", key,
+        return self.stage(f"prepare/{speaker}", "prep-" + self.digest(speaker),
                           lambda: prepare_speaker(self.cfg, self.table, speaker))
 
     def each_speaker(self, fn) -> list:

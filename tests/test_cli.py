@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import logging
+import multiprocessing
 import os
 import pickle
 import re
@@ -707,21 +708,39 @@ def test_grid_without_optimization_fails_before_hashing_inputs(tiny_root, tmp_pa
     def hashing(*args):
         raise AssertionError("input files hashed")
 
-    monkeypatch.setattr(cli, "_speaker_input_hash", hashing)
+    monkeypatch.setattr(cli.Run, "digest", hashing)
     assert cli.main([command, "--config", str(cfg_path)]) == 1
     assert "grid search requires optimization to be enabled" in capsys.readouterr().err
 
 
 def test_streamed_input_digest_equals_digest_of_all_files(tiny_root):
     cfg = synthetic_config(tiny_root, utterances=14, speakers=1)
-    pieces = []
+    table = resolve_table(cfg)
+    pieces = [cli._source_digest(), cfg.feature_set, table.names, table.inventory,
+              table.matrix.tobytes(), cfg.split_sizes, cfg.seed, "spk00"]
     for utt, ema_path, align_path in cli.discover_utterances(tiny_root, "spk00"):
         pieces += [utt.encode(), ema_path.read_bytes(), align_path.read_bytes()]
-    cfg_slice = {"feature_set": cfg.feature_set, "feature_table": "t",
-                 "split_sizes": cfg.split_sizes, "seed": cfg.seed}
-    expected = cli._hash_bytes(cli._source_digest().encode(),
-                               cli._hash_obj(cfg_slice).encode(), *pieces)
-    assert cli._speaker_input_hash(cfg, "t", "spk00") == expected
+    assert cli.Run(cfg).digest("spk00") == cli._digest(pieces)
+
+
+def test_one_speakers_commands_read_only_its_files(tmp_path, capsys):
+    # plot and synth --utterance used to hash every speaker's files, so an
+    # unreadable file of another speaker failed them with exit 1.
+    root = tmp_path / "data"
+    generate_synthetic(root, speakers=2, utterances=14, dim=4, seed=2)
+    ema = root / "spk01" / "spk01_003.ema"
+    ema.unlink()
+    ema.symlink_to(root / "gone.ema")
+    cfg = synthetic_config(root, utterances=14, out_dir=str(tmp_path / "out"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg.to_json(), encoding="utf-8")
+    svg = str(tmp_path / "traj.svg")
+    for command in (["plot", "--svg", svg, "--utterance", "spk00_001"], ["plot", "--svg", svg],
+                    ["synth", "--utterance", "spk00_001"]):
+        assert cli.main([*command, "--config", str(cfg_path)]) == 0, capsys.readouterr().err
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: " in err and str(ema) in err and "runtime failure" not in err
 
 
 def test_short_500hz_track_fails_cleanly(tmp_path, capsys):
@@ -929,6 +948,67 @@ def test_optimize_command_writes_target_csvs(tiny_root, tmp_path):
     assert cli.main(["optimize", "--config", str(cfg_path)]) == 0
     files = list((Path(cfg.out_dir) / "optimized" / "spk00").glob("*.csv"))
     assert len(files) == 14
+
+
+def test_every_spelling_of_one_method_shares_its_stages(pair_root, tmp_path):
+    # The score key used to hash the method as written, so "Linear" after
+    # "linear" recomputed both score stages.
+    cfg = synthetic_config(pair_root, utterances=14, out_dir=str(tmp_path / "out"))
+    run_experiment(cfg)
+    _, manifest = run_experiment(replace(cfg, method="Linear"))
+    assert manifest.stages and all(s["cached"] for s in manifest.stages)
+
+
+def test_writers_of_one_key_use_their_own_temporary_files(tmp_path, monkeypatch):
+    # Every writer of a key used to write <key>.tmp, so the writer that
+    # renamed it second found it gone (FileNotFoundError).
+    cache = cli.Cache(tmp_path / "cache")
+    dump = pickle.dump
+    nested = []
+
+    def dump_after_another_writer(value, f):
+        if not nested:
+            nested.append(True)
+            cache.put("same", "inner")
+        dump(value, f)
+
+    monkeypatch.setattr(cli.pickle, "dump", dump_after_another_writer)
+    cache.put("same", "outer")
+    assert nested and cache.get("same") == "outer"
+    assert [p.name for p in cache.root.iterdir()] == ["same.pkl"]
+
+
+def _put_repeatedly(root: str, fill: bytes) -> None:
+    cache = cli.Cache(Path(root))
+    for _ in range(20):
+        cache.put("same", fill * 2**22)
+
+
+def test_concurrent_writers_of_one_key_all_succeed(tmp_path):
+    ctx = multiprocessing.get_context("spawn")
+    writers = [ctx.Process(target=_put_repeatedly, args=(str(tmp_path), bytes([i])))
+               for i in range(3)]
+    for w in writers:
+        w.start()
+    for w in writers:
+        w.join(timeout=120)
+        if w.is_alive():
+            w.kill()
+    assert [w.exitcode for w in writers] == [0, 0, 0]
+    assert cli.Cache(tmp_path).get("same") in {bytes([i]) * 2**22 for i in range(3)}
+    assert [p.name for p in tmp_path.iterdir()] == ["same.pkl"]
+
+
+def test_a_failed_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch):
+    cache = cli.Cache(tmp_path / "cache")
+
+    def disk_full(value, f):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.pickle, "dump", disk_full)
+    with pytest.raises(OSError, match="No space left"):
+        cache.put("key", "value")
+    assert list(cache.root.iterdir()) == []
 
 
 def test_cache_invalidated_when_inputs_change(tmp_path):
