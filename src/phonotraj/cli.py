@@ -22,7 +22,7 @@ import pickle
 import sys
 import tempfile
 import time
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
 from pathlib import Path
@@ -430,44 +430,66 @@ class Run:
         (self.out / "manifest.json").write_text(self.manifest.to_json(), encoding="utf-8")
 
 
+class _LazySequence(Sequence):
+    """``make(key)`` for each of ``keys``, made each time it is read and
+    never stored.  Iteration keeps no reference to the item it yielded."""
+
+    def __init__(self, keys: tuple, make):
+        self.keys, self.make = keys, make
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i: int):
+        return self.make(self.keys[i])
+
+    def __iter__(self):
+        return map(self.make, self.keys)
+
+
 def _speaker_pairs(data: SpeakerData, cfg: ExperimentConfig, optim: OptimConfig | None,
-                   part: str, steps: list | None = None) -> list:
-    """(trajectory, measured series) pairs of split ``part``.  With ``optim``
-    the targets are optimized first, and each utterance's number of kept
-    descent steps is appended to ``steps``."""
+                   part: str, steps: dict | None = None) -> Sequence:
+    """(trajectory, measured series) pairs of split ``part``, in split order.
+
+    A pair is synthesized each time it is read and nothing is stored, so a
+    reader that drops each pair holds one trajectory at a time; reading a
+    pair again gives the same bits.  With ``optim`` the targets are
+    optimized first, and ``steps[u]`` is set to utterance ``u``'s number of
+    kept descent steps, the same on every read."""
     method = cfg.interp_method
-    pairs = []
-    for u in data.part(part):
+
+    def pair(u: str) -> tuple[Trajectory, ArticulatorySeries]:
         fseg = data.fsegs[u]
         if optim is None:
             traj = synthesize(fseg, method, cfg.frame_rate)
         else:
             opt = optimize_targets(fseg, method, optim)
             if steps is not None:
-                steps.append(opt.steps)
+                steps[u] = opt.steps
             traj = synthesize_targets(fseg.utterance_id, opt.t, opt.X, method, cfg.frame_rate)
-        pairs.append((traj, data.series[u]))
-    return pairs
+        return traj, data.series[u]
+
+    return _LazySequence(data.part(part), pair)
 
 
 def _speaker_score(
     data: SpeakerData, cfg: ExperimentConfig, optim: OptimConfig | None, eval_part: str
-) -> tuple[np.ndarray, list[int]]:
+) -> tuple[np.ndarray, dict[str, int]]:
     """Pearson row on ``eval_part`` of the probe fitted on train, and the kept
-    descent steps of each optimized utterance, in synthesis order.
+    descent steps of each optimized utterance, by utterance id.
 
-    Train and dev are synthesized and the probe is fitted; a test
-    ``eval_part`` is synthesized only after the fit's pairs are released, so
-    the train and test trajectories are never held together.  A grid point
-    scores dev, the pairs it already has.
+    Each utterance is synthesized (and optimized) once.  The dev pairs are
+    made first and held, since a grid point scores them too.  The train
+    pairs stream through the fit, one train trajectory alive at a time, and
+    a test ``eval_part`` streams through ``score`` after the fit, so train
+    and test trajectories are never held together.
     """
-    steps: list[int] = []
-    train = _speaker_pairs(data, cfg, optim, "train", steps)
-    dev = _speaker_pairs(data, cfg, optim, "dev", steps)
-    probe = train_probe(train, dev)
+    steps: dict[str, int] = {}
+    dev = list(_speaker_pairs(data, cfg, optim, "dev", steps))
+    probe = train_probe(_speaker_pairs(data, cfg, optim, "train", steps), dev)
     if eval_part == "dev":
         return score(probe, dev), steps
-    del train, dev
+    del dev
     return score(probe, _speaker_pairs(data, cfg, optim, eval_part, steps)), steps
 
 
@@ -490,7 +512,7 @@ def _grid_point(cfg: ExperimentConfig, data: list[SpeakerData],
     (``improved``)."""
     results = [_speaker_score(d, cfg, oc, "dev") for d in data]
     dev_score = aggregate(np.vstack([r for r, _ in results]), tuple(cfg.speakers)).grand
-    steps = [n for _, point_steps in results for n in point_steps]
+    steps = [n for _, point_steps in results for n in point_steps.values()]
     return ({**_json_axes(oc), "dev_score": dev_score},
             {**_grid_axes(oc), "dev_score": dev_score, "optimized": len(steps),
              "improved": sum(n > 0 for n in steps)})

@@ -12,12 +12,16 @@ utterance reduces to ``G = AᵀA / n`` and ``C = ZᵀA / n``, and the loss is
 minimized by ``theta = (Σ C)(Σ G)⁺``.  The pseudo-inverse gives the
 minimum-norm minimizer: a feature that is zero on every training frame (a
 phone that never occurs in training) makes ``Σ G`` singular and gets weight
-0.  ``AdamState`` and ``adam_step`` are kept as the reference optimizer the
-tests check the closed form against.
+0.  As the fit needs only these sums, the fit and the score each read their
+pairs once, in order, and keep only sums or 6-column predictions: given a
+split whose pairs are made when read, one train trajectory is held at a
+time.  ``AdamState`` and ``adam_step`` are kept as the reference optimizer
+the tests check the closed form against.
 """
 from __future__ import annotations
 
 import logging
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,45 +126,53 @@ def dataset_loss(weight: np.ndarray, bias: np.ndarray, pairs: list[Pair]) -> flo
     return float(np.mean(losses))
 
 
-def train_probe(train: list[Pair], dev: list[Pair]) -> ProbeModel:
-    """Fit the affine probe in closed form.
+def _widths(F: np.ndarray, Z: np.ndarray, G: np.ndarray, C: np.ndarray) -> None:
+    if F.shape[1] + 1 != G.shape[0] or Z.shape[1] != C.shape[0]:
+        raise ProbeError("inconsistent feature or parameter dimensions")
+
+
+def train_probe(train: Iterable[Pair], dev: Iterable[Pair]) -> ProbeModel:
+    """Fit the affine probe in closed form, reading each pair once.
 
     Each training utterance is reduced to its statistics ``G = AᵀA / n`` and
-    ``C = ZᵀA / n`` with ``A = [F 1]``; the parameters ``theta = [W b]`` are
-    the minimum-norm solution of ``theta (Σ G) = Σ C``, one least-squares
-    solve (``G`` is symmetric).  The dev pairs do not enter the fit: their
-    loss under the fitted probe is returned as ``best_dev_loss``, and the
-    grid search scores its points on them.
+    ``C = ZᵀA / n`` with ``A = [F 1]``, summed in utterance order, and then
+    dropped, so a lazy ``train`` holds one trajectory at a time; the
+    parameters ``theta = [W b]`` are the minimum-norm solution of
+    ``theta (Σ G) = Σ C``, one least-squares solve (``G`` is symmetric).
+    The dev pairs do not enter the fit: they are read after it, for their
+    loss under the fitted probe, returned as ``best_dev_loss``; the grid
+    search scores its points on them.  Either set may be any iterable, and
+    an empty one raises ProbeError.
     """
-    if not train or not dev:
-        raise ProbeError("need non-empty train and dev sets")
-    cached_train = [_aligned(p) for p in train]
-    cached_dev = [_aligned(p) for p in dev]
-    d = cached_train[0][0].shape[1]
-    n_params = cached_train[0][1].shape[1]
-    for F, Z in cached_train + cached_dev:
-        if F.shape[1] != d or Z.shape[1] != n_params:
-            raise ProbeError("inconsistent feature or parameter dimensions")
-    lowest = np.min([Z.min(axis=0) for _, Z in cached_train], axis=0)
-    highest = np.max([Z.max(axis=0) for _, Z in cached_train], axis=0)
-    for j in np.flatnonzero(lowest == highest):
-        log.warning("training parameter %s is constant; fit is degenerate",
-                    PARAMETERS[j] if j < len(PARAMETERS) else j)
-    # Summed as they are made, in utterance order: one G and one C held at a time.
-    G = np.zeros((d + 1, d + 1))
-    C = np.zeros((n_params, d + 1))
-    for F, Z in cached_train:
+    G = C = lowest = highest = None
+    for F, Z in map(_aligned, train):
+        if G is None:
+            G = np.zeros((F.shape[1] + 1, F.shape[1] + 1))
+            C = np.zeros((Z.shape[1], F.shape[1] + 1))
+            lowest, highest = np.full(Z.shape[1], np.inf), np.full(Z.shape[1], -np.inf)
+        _widths(F, Z, G, C)
         g, c = _statistics(F, Z)
         G += g
         C += c
+        lowest, highest = np.minimum(lowest, Z.min(axis=0)), np.maximum(highest, Z.max(axis=0))
+    if G is None:
+        raise ProbeError("need non-empty train and dev sets")
+    for j in np.flatnonzero(lowest == highest):
+        log.warning("training parameter %s is constant; fit is degenerate",
+                    PARAMETERS[j] if j < len(PARAMETERS) else j)
     # A feature that is 0 on every training frame has a zero row and column in
     # G and a zero column in C: the minimum-norm solution gives it weight 0.
     live = np.flatnonzero(np.diag(G))
-    theta = np.zeros((n_params, d + 1))
+    theta = np.zeros_like(C)
     theta[:, live] = np.linalg.lstsq(G[np.ix_(live, live)], C[:, live].T, rcond=None)[0].T
-    weight, bias = theta[:, :d], theta[:, d]
-    dev_loss = float(np.mean([_utterance_loss(weight, bias, F, Z) for F, Z in cached_dev]))
-    return ProbeModel(weight, bias, best_dev_loss=dev_loss)
+    weight, bias = theta[:, :-1], theta[:, -1]
+    dev_losses = []
+    for F, Z in map(_aligned, dev):
+        _widths(F, Z, G, C)
+        dev_losses.append(_utterance_loss(weight, bias, F, Z))
+    if not dev_losses:
+        raise ProbeError("need non-empty train and dev sets")
+    return ProbeModel(weight, bias, best_dev_loss=float(np.mean(dev_losses)))
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:
@@ -178,19 +190,19 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.clip(np.sum(xc * yc) / (sx * sy), -1.0, 1.0))
 
 
-def score(probe: ProbeModel, test: list[Pair]) -> np.ndarray:
+def score(probe: ProbeModel, test: Iterable[Pair]) -> np.ndarray:
     """Per-parameter PCC over the concatenated test frames of one speaker.
 
-    Degenerate (zero-variance) parameters are returned as NaN with a logged
-    warning and are excluded from downstream averages.
+    Each pair is read once and reduced to its predictions and true
+    parameters.  Degenerate (zero-variance) parameters are returned as NaN
+    with a logged warning and are excluded from downstream averages.
     """
-    if not test:
-        raise ProbeError("empty test set")
     preds, truths = [], []
-    for pair in test:
-        F, Z = _aligned(pair)
+    for F, Z in map(_aligned, test):
         preds.append(probe.predict(F))
         truths.append(Z)
+    if not preds:
+        raise ProbeError("empty test set")
     pred = np.concatenate(preds, axis=0)
     truth = np.concatenate(truths, axis=0)
     out = np.empty(truth.shape[1])

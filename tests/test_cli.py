@@ -459,12 +459,77 @@ def test_speaker_score_fits_the_probe_before_it_synthesizes_the_test_split(
                                                            by_fseg))
     monkeypatch.setattr(cli, "train_probe", recording("fit", cli.train_probe, lambda *_: None))
     cli._speaker_score(data, cfg, optim, "test")
-    order = [u for part in ("train", "dev", "test") for u in data.part(part)]
+    order = [u for part in ("dev", "train", "test") for u in data.part(part)]
     assert [u for kind, u in events if kind == "synth"] == order  # each utterance once
     if optim is not None:
         assert [u for kind, u in events if kind == "optimize"] == order
     first_test = min(i for i, (_, u) in enumerate(events) if u in data.part("test"))
     assert events.index(("fit", None)) < first_test
+
+
+@pytest.mark.parametrize("method, optim", [
+    ("linear", None), ("cubic_hermite", OptimConfig(max_steps=1, optimize_position=True))])
+def test_speaker_score_holds_one_train_trajectory_at_a_time(trio_root, monkeypatch, method,
+                                                             optim):
+    cfg = synthetic_config(trio_root, utterances=14, speakers=3, method=method)
+    data = prepare_speaker(cfg, resolve_table(cfg), "spk00")
+    train = set(data.part("train"))
+    made, alive, events = [], [], []
+
+    def live_train():
+        gc.collect()
+        return sum(ref() is not None for u, ref in made if u in train)
+
+    def tracking(fn):
+        def wrapper(*args):
+            alive.append(live_train())
+            traj = fn(*args)
+            made.append((traj.utterance_id, weakref.ref(traj)))
+            alive.append(live_train())
+            events.append(("synth", traj.utterance_id))
+            return traj
+        return wrapper
+
+    def optimizing(fseg, *args):
+        events.append(("optimize", fseg.utterance_id))
+        return optimize_targets(fseg, *args)
+
+    def fitting(*args):
+        events.append(("fit", None))
+        return train_probe(*args)
+
+    train_probe = cli.train_probe
+    monkeypatch.setattr(cli, "synthesize", tracking(cli.synthesize))
+    monkeypatch.setattr(cli, "synthesize_targets", tracking(cli.synthesize_targets))
+    monkeypatch.setattr(cli, "optimize_targets", optimizing)
+    monkeypatch.setattr(cli, "train_probe", fitting)
+    cli._speaker_score(data, cfg, optim, "test")
+    assert max(alive) == 1  # the one being made or read by the fit
+    every = sorted(u for part in ("train", "dev", "test") for u in data.part(part))
+    assert sorted(u for kind, u in events if kind == "synth") == every
+    assert sorted(u for kind, u in events if kind == "optimize") == (every if optim else [])
+    first_test = min(i for i, (_, u) in enumerate(events) if u in data.part("test"))
+    assert events.index(("fit", None)) < first_test
+
+
+@pytest.mark.parametrize("method, optim", [
+    ("linear", None), ("natural_cubic", None),
+    ("cubic_hermite", OptimConfig(max_steps=1, optimize_position=True))])
+def test_the_probe_fitted_on_a_split_read_lazily_equals_the_one_fitted_on_its_list(
+        trio_root, method, optim):
+    cfg = synthetic_config(trio_root, utterances=14, speakers=3, method=method)
+    data = prepare_speaker(cfg, resolve_table(cfg), "spk00")
+    lazy_steps, list_steps = {}, {}
+    lazy = [cli._speaker_pairs(data, cfg, optim, part, lazy_steps) for part in ("train", "dev")]
+    listed = [list(cli._speaker_pairs(data, cfg, optim, part, list_steps))
+              for part in ("train", "dev")]
+    a, b = cli.train_probe(*lazy), cli.train_probe(*listed)
+    for field in ("weight", "bias", "best_dev_loss"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+    traj, series = lazy[0][-1]  # read again: the same bits and the same steps
+    assert np.array_equal(traj.frames, listed[0][-1][0].frames)
+    assert series is listed[0][-1][1]
+    assert lazy_steps == list_steps
 
 
 def test_run_without_a_grid_scores_each_speaker_after_preparing_it(pair_root, tmp_path):

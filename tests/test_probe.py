@@ -3,6 +3,7 @@ import logging
 import numpy as np
 import pytest
 
+from phonotraj.cli import _LazySequence
 from phonotraj.ema import ArticulatorySeries
 from phonotraj.forward import Trajectory
 from phonotraj.probe import (ADAM_BETAS, ADAM_EPS, ADAM_LR, AdamState,
@@ -229,9 +230,40 @@ def test_mismatched_pair_rejected():
         train_probe(pairs, pairs)
 
 
-def test_empty_sets_rejected():
-    with pytest.raises(ProbeError):
-        train_probe([], [])
+def lazy(pairs):
+    """``pairs`` as the pipeline passes a split: a sequence that makes each
+    pair when it is read."""
+    return _LazySequence(tuple(range(len(pairs))), pairs.__getitem__)
+
+
+def generator(pairs):
+    return (p for p in pairs)
+
+
+@pytest.mark.parametrize("kind", [list, generator, lazy])
+def test_empty_sets_rejected(kind):
+    # A generator used to pass the emptiness check: an empty train then
+    # failed with an IndexError, and an empty dev gave a NaN dev loss.
+    pairs = make_pairs(np.random.default_rng(2), np.ones((6, 3)), np.zeros(6), 3)
+    for train, dev in (([], []), ([], pairs), (pairs, [])):
+        with pytest.raises(ProbeError, match="non-empty"):
+            train_probe(kind(train), kind(dev))
+
+
+@pytest.mark.parametrize("kind", [list, generator, lazy])
+def test_empty_test_set_rejected(kind):
+    with pytest.raises(ProbeError, match="empty test set"):
+        score(ProbeModel(np.ones((6, 3)), np.zeros(6)), kind([]))
+
+
+@pytest.mark.parametrize("where", ["train", "dev"])
+def test_inconsistent_widths_rejected_in_either_set(where):
+    rng = np.random.default_rng(8)
+    pairs = make_pairs(rng, np.ones((6, 3)), np.zeros(6), 4)
+    wide = make_pairs(rng, np.ones((6, 4)), np.zeros(6), 1)
+    train, dev = (pairs[:3] + wide, pairs[3:]) if where == "train" else (pairs[:3], wide)
+    with pytest.raises(ProbeError, match="inconsistent"):
+        train_probe(generator(train), generator(dev))
 
 
 # ---------------------------------------------------------------------------
