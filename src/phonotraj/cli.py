@@ -36,7 +36,7 @@ from .alignment import (ALIGNMENT_READERS, AlignmentError, FeaturalSegmentation,
                         trim_and_filter)
 from .ema import (CHANNELS, EMA_READERS, GROUPS, LI, LL_Y, PARAMETERS, ArticulatorySeries,
                   EmaError, EmaRecord, align_frames, filter_and_downsample, fit_guided_pca,
-                  load_ema, project, write_est_track)
+                  frame_span, load_ema, project, write_est_track)
 from .forward import ForwardError, InterpMethod, Trajectory, synthesize, synthesize_targets
 from .optimize import (GRID_AXES, OptimConfig, OptimizeError, grid_configs, grid_fields,
                        optimize_targets)
@@ -303,15 +303,23 @@ class SpeakerData:
 
 
 def prepare_speaker(cfg: ExperimentConfig, table: FeatureTable, speaker: str) -> SpeakerData:
-    """Ingest one speaker: parse, trim, featurize, filter EMA, guided PCA."""
+    """Ingest one speaker: parse, trim and featurize every alignment, fit the
+    guided PCA on the train split's EMA, and project every split.
+
+    The fit reads the train records from a generator: each is loaded,
+    filtered and read by the fit, then cropped to its utterance span, and
+    only the crop's channels are held until the model exists.  Those crops
+    are projected next, each released as it is read.  Dev and test records
+    are loaded after the fit, one at a time, and projected as they are
+    read, so at most one full record is alive at any time.
+    """
     root = Path(cfg.dataset_root)
     utts = discover_utterances(root, speaker)
     splits = make_splits([u for u, _, _ in utts], cfg.split_sizes, cfg.seed)
 
     fsegs: dict[str, FeaturalSegmentation] = {}
-    records: dict[str, EmaRecord] = {}
+    ema_paths: dict[str, Path] = {}
     rejected = []
-    repairs = 0
     for utt, ema_path, align_path in utts:
         seg = parse_alignment(align_path)
         trimmed = trim_and_filter(seg)
@@ -319,11 +327,7 @@ def prepare_speaker(cfg: ExperimentConfig, table: FeatureTable, speaker: str) ->
             rejected.append(utt)
             continue
         fsegs[utt] = build_featural(trimmed, table)
-        rec = load_ema(ema_path)
-        if rec.sample_rate == 500:
-            rec = filter_and_downsample(rec)
-        records[utt] = rec
-        repairs += rec.nan_repairs
+        ema_paths[utt] = ema_path
     if rejected:
         log.info("%s: %d utterances rejected at trim: %s", speaker,
                  len(rejected), " ".join(rejected[:8]))
@@ -331,11 +335,32 @@ def prepare_speaker(cfg: ExperimentConfig, table: FeatureTable, speaker: str) ->
     train_ids = [u for u in splits.train if u in fsegs]
     if len(train_ids) < 2:
         raise ConfigError(f"{speaker}: not enough training utterances after trimming")
-    model = fit_guided_pca([records[u] for u in train_ids])
+    repairs = 0
 
-    series: dict[str, ArticulatorySeries] = {}
+    def load(utt: str) -> EmaRecord:
+        nonlocal repairs
+        rec = load_ema(ema_paths[utt])
+        if rec.sample_rate == 500:
+            rec = filter_and_downsample(rec)
+        repairs += rec.nan_repairs
+        return rec
+
+    crops: dict[str, EmaRecord] = {}
+
+    def train_records():
+        for utt in train_ids:
+            rec = load(utt)
+            yield rec
+            rows = frame_span(utt, len(rec.channels), fsegs[utt], rec.sample_rate)
+            crops[utt] = replace(rec, channels=rec.channels[rows].copy())
+            del rec  # released before the next record is loaded
+
+    model = fit_guided_pca(train_records())
+    series: dict[str, ArticulatorySeries] = {u: project(model, crops.pop(u)) for u in train_ids}
     for utt, fseg in fsegs.items():
-        series[utt] = align_frames(project(model, records[utt]), fseg)
+        if utt not in series:
+            series[utt] = align_frames(project(model, load(utt)), fseg)
+    series = {utt: series[utt] for utt in fsegs}  # sorted by id, as fsegs is
     return SpeakerData(speaker, splits, fsegs, series, tuple(rejected), repairs)
 
 

@@ -15,8 +15,11 @@ jaw-first linear decomposition:
 
 Every axis is oriented so its largest-magnitude loading is positive, and
 parameters are z-scored with training-partition statistics.  The fit reads
-one 12 x 12 covariance of the pooled training frames, summed one record at
-a time, and never holds the pooled frames.
+one 12 x 12 covariance of the pooled training frames, built in one pass
+over the records: each record adds its frame count, its sum and its
+scatter about its own mean, all taken after shifting every frame by the
+first record's first frame.  So it reads each record once, may be given a
+generator, and never holds the pooled frames.
 
 The filter gives scipy's ``filtfilt`` result bit for bit without importing
 ``scipy.signal`` or ``scipy.linalg`` (about 1 s and 0.25 s of imports for
@@ -27,6 +30,7 @@ both passes run scipy's compiled recursion, loaded from its extension file
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
@@ -348,29 +352,51 @@ class GuidedPcaModel:
         return (channels - self.channel_means) @ self.matrix
 
 
-def fit_guided_pca(records: list[EmaRecord]) -> GuidedPcaModel:
+def fit_guided_pca(records: Iterable[EmaRecord]) -> GuidedPcaModel:
     """Fit the jaw-first decomposition on pooled 100 Hz training frames.
 
-    Everything is read from the covariance ``S`` of the pooled frames: the
-    jaw axis ``a`` is the first axis of the incisor block, with variance
-    ``v = aᵀ S_li a``; the jaw regression is ``S[:, li] a / v``; and the
-    residuals' covariance is ``S - v · jaw_coef jaw_coefᵀ``, whose 2 x 2
-    blocks give the group axes.
+    ``records`` is read once, so it may be a generator.  With ``c`` the
+    first record's first frame, record ``r`` leaves its frame count ``n_r``,
+    the sum ``s_r`` of ``x - c`` and the scatter ``M_r`` of ``x - c`` about
+    its own mean.  The means are ``c + μ'`` with ``μ' = Σ s_r / n``, and the
+    covariance of the pooled frames is
+    ``S = Σ [M_r + n_r (s_r/n_r - μ')(s_r/n_r - μ')ᵀ] / n`` (Chan, Golub &
+    LeVeque, 1983); the shift keeps coordinates far from 0 from costing
+    digits.
+
+    Everything else is read from ``S``: the jaw axis ``a`` is the first axis
+    of the incisor block, with variance ``v = aᵀ S_li a``; the jaw
+    regression is ``S[:, li] a / v``; and the residuals' covariance is
+    ``S - v · jaw_coef jaw_coefᵀ``, whose 2 x 2 blocks give the group axes.
     """
-    if len(records) < 2:
+    n_records, counts, sums = 0, [], []
+    scatter = np.zeros((len(CHANNELS), len(CHANNELS)))
+    shift = None
+    for rec in records:
+        n_records += 1
+        if rec.sample_rate != 100:
+            raise EmaError(f"{rec.utterance_id}: guided PCA expects 100 Hz records")
+        if len(rec.channels):
+            if shift is None:
+                shift = rec.channels[0].copy()
+            x = rec.channels - shift
+            s = x.sum(axis=0)
+            x -= s / len(x)
+            scatter += x.T @ x
+            counts.append(len(x))
+            sums.append(s)
+            del x
+        del rec  # released before the next record is read
+    if n_records < 2:
         raise EmaError("guided PCA needs at least 2 training records")
-    for r in records:
-        if r.sample_rate != 100:
-            raise EmaError(f"{r.utterance_id}: guided PCA expects 100 Hz records")
-    n = sum(r.channels.shape[0] for r in records)
+    n = sum(counts)
     if n < 1000:
         raise EmaError(f"guided PCA needs >= 1000 pooled frames, got {n}")
-    means = sum(r.channels.sum(axis=0) for r in records) / n
-    S = np.zeros((len(CHANNELS), len(CHANNELS)))
-    for r in records:
-        centered = r.channels - means
-        S += centered.T @ centered
-    S /= n
+    counts, sums = np.array(counts, dtype=float), np.array(sums)
+    mean_shift = sums.sum(axis=0) / n
+    means = shift + mean_shift
+    spread = sums / counts[:, None] - mean_shift  # each record's mean about the pooled one
+    S = (scatter + (spread.T * counts) @ spread) / n
     var = np.diag(S)
     for name, (cx, cy) in [("lower_incisor", LI), *GROUPS.items()]:
         if var[cx] + var[cy] < 1e-12:
@@ -407,19 +433,28 @@ def project(model: GuidedPcaModel, rec: EmaRecord) -> ArticulatorySeries:
     return ArticulatorySeries(rec.utterance_id, model.raw_parameters(rec.channels) / model.z_std)
 
 
-def align_frames(z: ArticulatorySeries, fseg: FeaturalSegmentation) -> ArticulatorySeries:
-    """Crop parameter frames to the trimmed utterance span of ``fseg``.
+def frame_span(utterance_id: str, available: int, fseg: FeaturalSegmentation,
+               frame_rate: float) -> slice:
+    """The rows of a track of ``available`` frames that cover the trimmed
+    utterance span of ``fseg``.
 
-    The crop starts at the trimmed origin and extends for the trajectory
+    The span starts at the trimmed origin and extends for the trajectory
     frame count; a shortfall of one frame is tolerated (the pair is later
     truncated to the common length), anything more is a coverage error.
     """
-    start = int(round(fseg.time_offset * z.frame_rate))
-    n = frame_count(fseg.duration, z.frame_rate)
-    avail = z.Z.shape[0] - start
+    start = int(round(fseg.time_offset * frame_rate))
+    n = frame_count(fseg.duration, frame_rate)
+    avail = available - start
     if start < 0 or avail < n - 1:
         raise EmaError(
-            f"{z.utterance_id}: articulatory series ends before the utterance does "
+            f"{utterance_id}: articulatory series ends before the utterance does "
             f"(needs {n} frames from {start}, has {max(avail, 0)})"
         )
-    return ArticulatorySeries(z.utterance_id, z.Z[start : start + n].copy(), z.frame_rate)
+    return slice(start, start + n)
+
+
+def align_frames(z: ArticulatorySeries, fseg: FeaturalSegmentation) -> ArticulatorySeries:
+    """Crop parameter frames to the trimmed utterance span of ``fseg``, by
+    ``frame_span``'s rule."""
+    rows = frame_span(z.utterance_id, z.Z.shape[0], fseg, z.frame_rate)
+    return ArticulatorySeries(z.utterance_id, z.Z[rows].copy(), z.frame_rate)

@@ -22,7 +22,8 @@ from conftest import synthetic_config
 from phonotraj.cli import (ConfigError, ExperimentConfig, generate_synthetic,
                            grid_search, make_splits, prepare_speaker,
                            resolve_table, run_experiment)
-from phonotraj.ema import EmaRecord, load_est_track, write_csv, write_est_track
+from phonotraj.ema import (EmaRecord, align_frames, load_est_track, project, write_csv,
+                           write_est_track)
 from phonotraj.optimize import OptimConfig, OptimizeError, optimize_targets
 from phonotraj.probe import ProbeModel, aggregate, score
 
@@ -821,6 +822,16 @@ def test_short_500hz_track_fails_cleanly(tmp_path, capsys):
     assert "spk00_003: 18 samples at 500 Hz" in capsys.readouterr().err
 
 
+def _resample_tracks_to_500hz(root: Path) -> None:
+    """Each track resampled x5: linear between its 100 Hz samples."""
+    for track in sorted(root.glob("spk*/*.ema")):
+        rec = load_est_track(track)
+        n = rec.channels.shape[0]
+        fine = np.arange(5 * n) / 5
+        channels = np.column_stack([np.interp(fine, np.arange(n), c) for c in rec.channels.T])
+        write_est_track(track, EmaRecord(rec.utterance_id, 500, channels))
+
+
 def test_a_run_on_500hz_tracks_scores_close_to_the_100hz_run(tmp_path, capsys, monkeypatch):
     # Only a failing 500 Hz track was run through the command; no test took
     # one through filtering and decimation to a score.
@@ -831,14 +842,8 @@ def test_a_run_on_500hz_tracks_scores_close_to_the_100hz_run(tmp_path, capsys, m
                         lambda rec: filtered.append(rec.utterance_id) or filter_and_downsample(rec))
     scores = []
     for rate in (100, 500):
-        if rate == 500:  # each track resampled x5: linear between its 100 Hz samples
-            for track in sorted(root.glob("spk*/*.ema")):
-                rec = load_est_track(track)
-                n = rec.channels.shape[0]
-                fine = np.arange(5 * n) / 5
-                channels = np.column_stack([np.interp(fine, np.arange(n), c)
-                                            for c in rec.channels.T])
-                write_est_track(track, EmaRecord(rec.utterance_id, 500, channels))
+        if rate == 500:
+            _resample_tracks_to_500hz(root)
         cfg_path = tmp_path / f"cfg-{rate}.json"
         cfg_path.write_text(synthetic_config(root, utterances=14,
                                              out_dir=str(tmp_path / f"out-{rate}")).to_json(),
@@ -847,6 +852,92 @@ def test_a_run_on_500hz_tracks_scores_close_to_the_100hz_run(tmp_path, capsys, m
         scores.append(float(capsys.readouterr().out.split("articulatory score: ")[1]))
     assert len(filtered) == 28  # the 500 Hz run filtered every track, the 100 Hz one none
     assert scores[0] > 0.99 and abs(scores[1] - scores[0]) < 0.02, scores
+
+
+def test_prepare_speaker_holds_one_full_ema_record_at_a_time(tmp_path, monkeypatch):
+    # prepare_speaker used to hold every utterance's full 100 Hz record until
+    # the guided PCA was fitted and every record projected.
+    root = tmp_path / "data"
+    generate_synthetic(root, speakers=1, utterances=14, dim=4, seed=2)
+    _resample_tracks_to_500hz(root)
+    full, alive = [], []
+
+    def keeping_refs(fn):
+        def wrapper(rec_or_path):
+            rec = fn(rec_or_path)
+            full.append(weakref.ref(rec))
+            return rec
+        return wrapper
+
+    def loading(path):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in full))
+        return load_ema(path)
+
+    load_ema = keeping_refs(cli.load_ema)
+    monkeypatch.setattr(cli, "load_ema", loading)
+    monkeypatch.setattr(cli, "filter_and_downsample", keeping_refs(cli.filter_and_downsample))
+    cfg = synthetic_config(root, utterances=14, speakers=1)
+    data = prepare_speaker(cfg, resolve_table(cfg), "spk00")
+    assert len(data.series) == 14 and len(full) == 28  # each track loaded once, filtered once
+    assert alive == [0] * 14
+
+
+def test_prepare_speaker_series_equal_the_fit_on_every_full_train_record(trio_root):
+    cfg = synthetic_config(trio_root, utterances=14, speakers=3)
+    data = prepare_speaker(cfg, resolve_table(cfg), "spk01")
+    records = {p.stem: cli.load_ema(p) for p in sorted((trio_root / "spk01").glob("*.ema"))}
+    model = cli.fit_guided_pca([records[u] for u in data.part("train")])
+    assert list(data.series) == sorted(data.fsegs)
+    for utt, fseg in data.fsegs.items():
+        expected = align_frames(project(model, records[utt]), fseg)
+        np.testing.assert_allclose(data.series[utt].Z, expected.Z, rtol=0, atol=1e-12)
+
+
+def _split_of(root: Path, cfg: ExperimentConfig, part: str) -> tuple[str, ...]:
+    ids = [p.stem for p in sorted((root / "spk00").glob("*.ema"))]
+    return getattr(make_splits(ids, cfg.split_sizes, cfg.seed), part)
+
+
+def test_a_truncated_test_track_read_after_the_fit_fails_the_run(tmp_path, capsys, monkeypatch):
+    # Test tracks are read after the guided PCA is fitted; a bad one still
+    # ends the run as an input error that names its file.
+    root = tmp_path / "data"
+    generate_synthetic(root, speakers=1, utterances=14, dim=4, seed=3)
+    cfg = synthetic_config(root, utterances=14, speakers=1, out_dir=str(tmp_path / "out"))
+    utt = _split_of(root, cfg, "test")[0]
+    _cut_est_track(root / "spk00" / utt)
+    events = []
+    fit_guided_pca, load_ema = cli.fit_guided_pca, cli.load_ema
+    monkeypatch.setattr(cli, "fit_guided_pca",
+                        lambda records: events.append("fit") or fit_guided_pca(records))
+    monkeypatch.setattr(cli, "load_ema", lambda path: events.append(path.stem) or load_ema(path))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg.to_json(), encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{root / 'spk00' / utt}.ema: truncated frame data" in err
+    assert events.index("fit") < events.index(utt) == len(events) - 1
+
+
+def test_a_train_track_that_ends_early_fails_at_its_crop_before_projection(tmp_path, capsys,
+                                                                           monkeypatch):
+    root = tmp_path / "data"
+    generate_synthetic(root, speakers=1, utterances=14, dim=4, seed=3)
+    cfg = synthetic_config(root, utterances=14, speakers=1, out_dir=str(tmp_path / "out"))
+    utt = _split_of(root, cfg, "train")[0]
+    track = root / "spk00" / f"{utt}.ema"
+    rec = load_est_track(track)
+    write_est_track(track, replace(rec, channels=rec.channels[: rec.channels.shape[0] // 2]))
+    projected = []
+    projecting = cli.project
+    monkeypatch.setattr(cli, "project", lambda model, r: projected.append(r.utterance_id)
+                        or projecting(model, r))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg.to_json(), encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg_path)]) == 1
+    assert f"{utt}: articulatory series ends before the utterance does" in capsys.readouterr().err
+    assert projected == []
 
 
 def _not_utf8(path: Path) -> Path:

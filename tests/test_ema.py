@@ -480,6 +480,62 @@ def test_fit_holds_no_pooled_copy_of_the_frames():
     assert peak < pooled_bytes, (peak, pooled_bytes)
 
 
+def _model_arrays(model):
+    return [model.channel_means, model.jaw_axis, model.jaw_coef, *model.axes.values(),
+            model.matrix, model.z_std]
+
+
+class _CountingRecords:
+    """Records that count the passes made over them and the reads of each."""
+
+    def __init__(self, records):
+        self.records, self.passes, self.reads = records, 0, []
+
+    def __iter__(self):
+        self.passes += 1
+        for rec in self.records:
+            self.reads.append(rec.utterance_id)
+            yield rec
+
+
+def test_fit_reads_each_record_once_and_equals_the_fit_on_the_list():
+    rng = np.random.default_rng(13)
+    records = [EmaRecord(f"u{i}", 100, rng.normal(size=(int(n), 12)) + 50.0)
+               for i, n in enumerate(rng.integers(200, 600, size=8))]
+    counting = _CountingRecords(records)
+    streamed = fit_guided_pca(counting)
+    assert counting.passes == 1
+    assert counting.reads == [r.utterance_id for r in records]
+    for actual, expected in zip(_model_arrays(streamed), _model_arrays(fit_guided_pca(records))):
+        _assert_relative(actual, expected, 1e-15)
+    for actual, expected in zip(_model_arrays(fit_guided_pca(r for r in records)),
+                                _model_arrays(streamed)):
+        _assert_relative(actual, expected, 1e-15)
+
+
+def test_fit_skips_a_record_without_frames():
+    records = [make_record(n=700, rate=100, seed=s, utt=f"u{s}") for s in range(2)]
+    empty = EmaRecord("empty", 100, np.zeros((0, 12)))
+    for actual, expected in zip(_model_arrays(fit_guided_pca([empty, *records])),
+                                _model_arrays(fit_guided_pca(records))):
+        _assert_relative(actual, expected, 1e-15)
+
+
+@pytest.mark.parametrize("records, message", [
+    ([make_record(n=1200, rate=100)], "at least 2 training records"),
+    ([make_record(n=400, rate=100, utt="a"), make_record(n=500, rate=100, utt="b")],
+     ">= 1000 pooled frames, got 900"),
+    ([make_record(n=1200, rate=100, utt="a"), make_record(n=1200, rate=500, utt="b")],
+     "b: guided PCA expects 100 Hz records"),
+], ids=["one-record", "too-few-frames", "500hz"])
+def test_fit_on_a_generator_raises_what_the_fit_on_its_list_raises(records, message):
+    with pytest.raises(EmaError, match=message) as from_list:
+        fit_guided_pca(records)
+    with pytest.raises(EmaError) as from_generator:
+        fit_guided_pca(rec for rec in records)
+    assert str(from_generator.value) == str(from_list.value)
+
+
 def test_synthetic_rank_structure_recovered_exactly():
     model, ch, P = fitted_model(seed=9)
     raw = model.raw_parameters(ch)
