@@ -6,8 +6,7 @@ from .alignment import (FeaturalSegmentation, Phone, PhoneSegmentation,
                         build_featural, parse_alignment, trim_and_filter)
 from .ema import (ArticulatorySeries, EmaRecord, GuidedPcaModel, align_frames,
                   filter_and_downsample, fit_guided_pca, load_ema, project)
-from .forward import (DimensionNodes, InterpMethod, Trajectory, interpolate,
-                      second_derivative, select_nodes, synthesize)
+from .forward import InterpMethod, Trajectory, evaluate, synthesize
 from .optimize import OptimConfig, OptimizedTargets, objective, optimize_targets
 from .phonology import (ApCategoryScale, FeatureTable, encode_target,
                         enrich_with_phonemes, get_table, load_feature_table)
@@ -19,8 +18,7 @@ __all__ = [
     "build_featural", "parse_alignment", "trim_and_filter",
     "ArticulatorySeries", "EmaRecord", "GuidedPcaModel", "align_frames",
     "filter_and_downsample", "fit_guided_pca", "load_ema", "project",
-    "DimensionNodes", "InterpMethod", "Trajectory", "interpolate",
-    "second_derivative", "select_nodes", "synthesize",
+    "InterpMethod", "Trajectory", "evaluate", "synthesize",
     "OptimConfig", "OptimizedTargets", "objective", "optimize_targets",
     "ApCategoryScale", "FeatureTable", "encode_target", "enrich_with_phonemes",
     "get_table", "load_feature_table",

@@ -12,12 +12,13 @@ at k/frame_rate, k = 1..n, n = floor(duration * frame_rate)):
 Unknown feature entries have no node: each dimension interpolates through
 its specified targets only, so the interpolant supplies context-dependent
 values.  The zero boundary targets act as nodes in every dimension.
-``flat_nodes`` lists every dimension's nodes in one flat array; synthesis,
-``select_nodes`` and the optimizer read it.  Synthesis evaluates one flat
-table per utterance: each segment's polynomial coefficients (the pp-form)
-for every dimension, with all natural-cubic moments from one tridiagonal
-solve: LAPACK ``dgtsv``, loaded from scipy's compiled ``_flapack`` by
-``_scipy_extension`` without importing ``scipy.linalg``.
+``flat_nodes`` lists every dimension's nodes in one flat array, which the
+optimizer and ``evaluate``, the one evaluation core, read.  ``evaluate``
+builds one flat table per utterance, each segment's polynomial
+coefficients (the pp-form) for every dimension, with all natural-cubic
+moments from one tridiagonal solve: LAPACK ``dgtsv``, loaded from scipy's
+compiled ``_flapack`` by ``_scipy_extension`` without importing
+``scipy.linalg``.  Synthesis is ``evaluate`` on the frame grid.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ import importlib.util
 import struct
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -61,35 +61,6 @@ class InterpMethod(Enum):
     @property
     def is_cubic(self) -> bool:
         return self in (InterpMethod.CUBIC_HERMITE, InterpMethod.NATURAL_CUBIC)
-
-
-@dataclass(frozen=True)
-class DimensionNodes:
-    """Interpolation nodes of one feature dimension.
-
-    ``rows`` are the segmentation row indices the nodes came from; the two
-    boundary rows are always present.  ``intervals`` carries the matching
-    target time intervals, needed only by piecewise-constant evaluation.
-    """
-
-    dim: int
-    times: np.ndarray  # (m,)
-    values: np.ndarray  # (m,)
-    rows: np.ndarray  # (m,) int
-    intervals: np.ndarray | None = None  # (m, 2)
-
-    def __post_init__(self):
-        if self.times.size < 2:
-            raise ForwardError(f"dimension {self.dim}: needs at least the 2 boundary nodes")
-        if not np.all(np.diff(self.times) > 0):
-            raise ForwardError(f"dimension {self.dim}: node times not strictly increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise ForwardError(f"dimension {self.dim}: non-finite node value")
-
-    @cached_property
-    def _natural(self) -> tuple:
-        """Natural-cubic segment table, its moments solved on first use."""
-        return segment_table(InterpMethod.NATURAL_CUBIC, self.times, self.values, [0, -1])
 
 
 @dataclass(frozen=True)
@@ -159,13 +130,6 @@ def flat_nodes(t: np.ndarray, X: np.ndarray, specified: np.ndarray):
     values = X[rows, dims]
     values[first] = values[last] = 0.0
     return rows, dims, t[rows], values, first, last
-
-
-def select_nodes(fseg: FeaturalSegmentation) -> list[DimensionNodes]:
-    """Per-dimension nodes: one dimension's run of the ``flat_nodes`` list."""
-    rows, _, times, values, first, last = flat_nodes(fseg.t, fseg.X, fseg.specified)
-    return [DimensionNodes(j, times[a:b], values[a:b], rows[a:b], fseg.Y[rows[a:b]])
-            for j, (a, b) in enumerate(zip(first.tolist(), (last + 1).tolist()))]
 
 
 def _scipy_extension(subpackage: str, name: str):
@@ -271,55 +235,39 @@ def _piecewise_constant(intervals: np.ndarray, values: np.ndarray, taus: np.ndar
     return values[live][idx]
 
 
-def _check_range(times: np.ndarray, taus: np.ndarray) -> None:
-    if np.any(taus < times[0] - 1e-12) or np.any(taus > times[-1] + 1e-12):
-        raise ForwardError(
-            f"evaluation time outside [{times[0]}, {times[-1]}]"
-        )
+def evaluate(t: np.ndarray, X: np.ndarray, method: InterpMethod, taus: np.ndarray,
+             derivative: int = 0) -> np.ndarray:
+    """Every dimension's interpolant through the targets ``(t, X)`` at the
+    times ``taus``, or with ``derivative=2`` its second derivative, as a
+    ``(len(taus), d)`` array.
 
-
-def _pieces(nodes: DimensionNodes, method: InterpMethod, taus: np.ndarray):
-    """One dimension's coefficients, and each tau's segment, local
-    coordinate and segment length."""
-    h, table = (nodes._natural if method is InterpMethod.NATURAL_CUBIC
-                else segment_table(method, nodes.times, nodes.values, [0, -1]))
-    idx = np.searchsorted(nodes.times, taus, side="right") - 1
-    idx = np.minimum(np.maximum(idx, 0), h.size - 1)  # np.clip, without its overhead
-    return table, idx, (taus - nodes.times[idx]) / h[idx], h[idx]
-
-
-def interpolate(nodes: DimensionNodes, method: InterpMethod, tau) -> float | np.ndarray:
-    """Value of the interpolant for one dimension at time(s) ``tau``.
-
-    Exactly reproduces the node values at node times for every method except
-    piecewise-constant, which returns the value of the phone interval
-    containing tau instead.
+    The NaN entries of ``X`` have no node, and both boundary rows are nodes
+    valued 0.  At a knot the segment that starts there is read, so a Hermite
+    second derivative takes its right-hand value.
     """
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    _check_range(nodes.times, taus)
     if method is InterpMethod.PIECEWISE_CONSTANT:
-        if nodes.intervals is None:
-            raise ForwardError("piecewise-constant evaluation needs target intervals")
-        out = _piecewise_constant(nodes.intervals, nodes.values, taus)
-    else:
-        table, idx, s, _ = _pieces(nodes, method, taus)
-        out = _horner(table, idx, s)
-    return float(out[0]) if np.ndim(tau) == 0 else out
-
-
-def second_derivative(nodes: DimensionNodes, method: InterpMethod, tau) -> float | np.ndarray:
-    """Analytic second derivative of the cubic interpolants.
-
-    At interior knots of the Hermite spline the curvature is discontinuous;
-    the value of the right-hand segment is returned there.
-    """
-    if not method.is_cubic:
-        raise ForwardError(f"second derivative undefined for {method.value}")
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    _check_range(nodes.times, taus)
-    (_, _, c2, c3), idx, s, h = _pieces(nodes, method, taus)
-    out = (2.0 * c2[idx] + 6.0 * c3[idx] * s) / (h * h)
-    return float(out[0]) if np.ndim(tau) == 0 else out
+        raise ForwardError("piecewise-constant needs a featural segmentation with intervals")
+    if derivative not in (0, 2) or (derivative and not method.is_cubic):
+        raise ForwardError(f"derivative {derivative} undefined for {method.value}")
+    if t.size < 2 or not (t[1:] > t[:-1]).all():
+        raise ForwardError("timings need at least 2 entries, strictly increasing")
+    if (taus < t[0] - 1e-12).any() or (taus > t[-1] + 1e-12).any():
+        raise ForwardError(f"evaluation time outside [{t[0]}, {t[-1]}]")
+    mask = _node_mask(~np.isnan(X))
+    rows, dims, times, values, first, last = flat_nodes(t, X, mask)
+    if not np.isfinite(values).all():
+        raise ForwardError("non-finite node value")
+    h, table = segment_table(method, times, values, np.concatenate((first, last)))
+    # Flat segment of each (row, dim), clipped to the dimension's own
+    # segments; then one row gather by the row that holds each tau.
+    seg = np.minimum(np.cumsum(mask, axis=0) - 1 + first, last - 1)
+    row = np.maximum(np.searchsorted(t, taus, side="right") - 1, 0)
+    idx = seg[row]
+    s = (taus[:, None] - times.take(idx)) / h.take(idx)
+    if derivative:
+        hk = h.take(idx)
+        return (2.0 * table[2].take(idx) + 6.0 * table[3].take(idx) * s) / (hk * hk)
+    return _horner(table, idx, s)
 
 
 def _trajectory(
@@ -330,23 +278,18 @@ def _trajectory(
     frame_rate: float,
     Y: np.ndarray | None = None,
 ) -> Trajectory:
-    """Evaluate one flat segment table of all dimensions on the frame grid;
-    the NaN entries of ``X`` have no node."""
+    """Sample every dimension on the frame grid: ``evaluate``, or for
+    piecewise-constant the targets over their intervals ``Y``."""
     taus = frame_times(float(t[-1]), frame_rate)
     if taus.size == 0:
         raise ForwardError(f"{utterance_id}: utterance shorter than one frame")
-    if method is InterpMethod.PIECEWISE_CONSTANT:
-        frames = _piecewise_constant(Y, X, taus)
-    else:
-        mask = _node_mask(~np.isnan(X))
-        rows, dims, times, values, first, last = flat_nodes(t, X, mask)
-        h, table = segment_table(method, times, values, np.concatenate((first, last)))
-        # Flat segment of each (row, dim), clipped to the dimension's own
-        # segments; then one row gather by the row that holds each frame.
-        seg = np.minimum(np.cumsum(mask, axis=0) - 1 + first, last - 1)
-        row = np.maximum(np.searchsorted(t, taus, side="right") - 1, 0)
-        idx = seg[row]
-        frames = _horner(table, idx, (taus[:, None] - times.take(idx)) / h.take(idx))
+    try:
+        if method is InterpMethod.PIECEWISE_CONSTANT and Y is not None:
+            frames = _piecewise_constant(Y, X, taus)
+        else:
+            frames = evaluate(t, X, method, taus)
+    except ForwardError as e:
+        raise ForwardError(f"{utterance_id}: {e}") from None
     if not np.all(np.isfinite(frames)):
         raise ForwardError(f"{utterance_id}: non-finite trajectory values")
     return Trajectory(utterance_id, frame_rate, frames)
@@ -374,9 +317,8 @@ def synthesize_targets(
 ) -> Trajectory:
     """Synthesize from explicit (possibly optimized) targets and timings.
 
-    Timings need not be interval midpoints here; piecewise-constant is not
-    supported because it is defined on intervals, not timings.
+    Timings need not be interval midpoints here, but must increase strictly;
+    piecewise-constant is not supported because it is defined on intervals,
+    not timings.
     """
-    if method is InterpMethod.PIECEWISE_CONSTANT:
-        raise ForwardError("piecewise-constant needs a featural segmentation with intervals")
     return _trajectory(utterance_id, t, X, method, frame_rate)

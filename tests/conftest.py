@@ -4,7 +4,7 @@ import numpy as np
 
 from phonotraj.alignment import FeaturalSegmentation
 from phonotraj.cli import ExperimentConfig
-from phonotraj.forward import InterpMethod
+from phonotraj.forward import InterpMethod, evaluate
 from phonotraj.optimize import OptimConfig, gradients, objective
 
 
@@ -42,6 +42,26 @@ def random_fseg(
     X[0] = 0.0
     X[-1] = 0.0
     return featural(utt, X, Y, t)
+
+
+def dimension_nodes(t: np.ndarray, X: np.ndarray):
+    """Each dimension's nodes as ``forward.evaluate`` reads them: both
+    boundary rows, valued 0, and the rows where ``X`` is specified.  Yields
+    ``(j, rows, times, values)``."""
+    mask = ~np.isnan(X)
+    mask[[0, -1]] = True
+    for j in range(X.shape[1]):
+        rows = np.flatnonzero(mask[:, j])
+        values = X[rows, j].copy()
+        values[[0, -1]] = 0.0
+        yield j, rows, t[rows], values
+
+
+def column(t: np.ndarray, X: np.ndarray, j: int, method: InterpMethod, derivative: int = 0):
+    """Dimension j's interpolant, or its second derivative, as a scalar
+    function; ``evaluate`` reads column j of ``X`` alone."""
+    Xj = X[:, [j]]
+    return lambda x: float(evaluate(t, Xj, method, np.array([x], dtype=float), derivative)[0, 0])
 
 
 def one_sided_derivative(f, x: float, h: float, side: int, order: int = 1) -> float:

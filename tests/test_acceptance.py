@@ -12,12 +12,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import (featural, gradient_check, one_sided_derivative, random_fseg,
-                      synthetic_config)
+from conftest import (column, dimension_nodes, gradient_check, one_sided_derivative,
+                      random_fseg, synthetic_config)
 from phonotraj.cli import ExperimentConfig, generate_synthetic, run_experiment
 from phonotraj.ema import ArticulatorySeries, EmaRecord, filter_and_downsample
-from phonotraj.forward import (InterpMethod, Trajectory, interpolate,
-                               second_derivative, select_nodes)
+from phonotraj.forward import InterpMethod, Trajectory, evaluate
 from phonotraj.optimize import (OptimConfig, attainment_term, objective_terms,
                                 optimize_targets)
 from phonotraj.probe import aggregate, dataset_loss, score, train_probe
@@ -44,10 +43,11 @@ def test_criterion_1_interpolation_constraints():
             k = int(rng.integers(1, 41))
             d = int(rng.integers(1, 81))
             fseg = random_fseg(rng, k=k, d=d, unknown_prob=float(rng.uniform(0, 0.5)))
-            for dn in select_nodes(fseg):
-                for method in (L, H, N):
-                    got = interpolate(dn, method, dn.times)
-                    assert np.max(np.abs(got - dn.values)) < 1e-9
+            X = fseg.X
+            nodes = ~np.isnan(X)  # the boundary rows are specified zeros
+            for method in (L, H, N):
+                got = evaluate(fseg.t, X, method, fseg.t)
+                assert np.max(np.abs(got - X)[nodes]) < 1e-9
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0, f"constraint suite took {elapsed:.1f}s"
 
@@ -60,20 +60,21 @@ def test_criterion_2_smoothness_suite():
         h_vel, h_acc = 1e-5, 5e-4
         for _ in range(50):
             fseg = random_fseg(rng, k=6, d=2, dur_range=(0.2, 0.5))
-            for dn in select_nodes(fseg):
-                scale = max(1.0, float(np.max(np.abs(dn.values))))
-                fH = lambda x: interpolate(dn, H, x)
-                fN = lambda x: interpolate(dn, N, x)
-                for i, tk in enumerate(dn.times):
-                    sides = [1] if i == 0 else [-1] if i == dn.times.size - 1 else [-1, 1]
+            for j, _, times, values in dimension_nodes(fseg.t, fseg.X):
+                scale = max(1.0, float(np.max(np.abs(values))))
+                fH = column(fseg.t, fseg.X, j, H)
+                fN = column(fseg.t, fseg.X, j, N)
+                for i, tk in enumerate(times):
+                    sides = [1] if i == 0 else [-1] if i == times.size - 1 else [-1, 1]
                     for side in sides:
                         vel = one_sided_derivative(fH, tk, h_vel, side)
                         assert abs(vel) / scale < 1e-6
                 # natural cubic: zero curvature at the boundary targets
-                assert abs(second_derivative(dn, N, dn.times[0])) < 1e-9
-                assert abs(second_derivative(dn, N, dn.times[-1])) < 1e-9
+                aN = column(fseg.t, fseg.X, j, N, 2)
+                assert abs(aN(times[0])) < 1e-9
+                assert abs(aN(times[-1])) < 1e-9
                 # C2 continuity across interior knots
-                for tk in dn.times[1:-1]:
+                for tk in times[1:-1]:
                     pos = abs(fN(tk - 1e-9) - fN(tk + 1e-9))
                     vel = abs(one_sided_derivative(fN, tk, h_vel, -1)
                               - one_sided_derivative(fN, tk, h_vel, +1))
@@ -84,10 +85,10 @@ def test_criterion_2_smoothness_suite():
 
 def _quadrature_energy(fseg, method):
     total = 0.0
-    for dn in select_nodes(fseg):
-        for a, b in zip(dn.times[:-1], dn.times[1:]):
-            total += quad(lambda x: second_derivative(dn, method, x) ** 2,
-                          a, b, limit=200)[0]
+    for j, _, times, _ in dimension_nodes(fseg.t, fseg.X):
+        curvature = column(fseg.t, fseg.X, j, method, 2)
+        for a, b in zip(times[:-1], times[1:]):
+            total += quad(lambda x: curvature(x) ** 2, a, b, limit=200)[0]
     return total
 
 
@@ -117,15 +118,10 @@ def test_criterion_3_objective_and_gradients():
             Xp = fseg.X + rng.normal(scale=0.2, size=fseg.X.shape)
             Xp[0] = Xp[-1] = 0.0
             direct = attainment_term(Xp, fseg.X, fseg.specified)
-            via_nodes = 0.0
-            for dn in select_nodes(
-                featural("u", Xp, fseg.Y, fseg.t)
-            ):
-                inner = (dn.rows > 0) & (dn.rows < fseg.X.shape[0] - 1)
-                g = interpolate(dn, method, dn.times[inner]) if inner.any() else []
-                via_nodes += float(np.sum(
-                    (np.asarray(g) - fseg.X[dn.rows[inner], dn.dim]) ** 2
-                ))
+            # g(t_k) at every inner target, compared where the entry is specified
+            g = evaluate(fseg.t, Xp, method, fseg.t[1:-1])
+            inner = fseg.specified[1:-1]
+            via_nodes = float(np.sum((g[inner] - fseg.X[1:-1][inner]) ** 2))
             assert direct == pytest.approx(via_nodes, abs=1e-12 * max(1.0, direct))
 
             cfg = OptimConfig(optimize_timing=True, optimize_position=True,

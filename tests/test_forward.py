@@ -6,19 +6,17 @@ import pytest
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 from scipy.linalg import solve_banded
 
-from conftest import featural, one_sided_derivative, random_fseg
+from conftest import column, dimension_nodes, featural, one_sided_derivative, random_fseg
 from phonotraj import forward
 from phonotraj.alignment import Phone, PhoneSegmentation, build_featural
 from phonotraj.forward import (
-    DimensionNodes,
     ForwardError,
     InterpMethod,
+    evaluate,
+    flat_nodes,
     frame_count,
     frame_times,
-    interpolate,
     load_binary,
-    second_derivative,
-    select_nodes,
     synthesize,
     synthesize_targets,
 )
@@ -28,11 +26,15 @@ L, H, N, PC = (InterpMethod.LINEAR, InterpMethod.CUBIC_HERMITE,
                InterpMethod.NATURAL_CUBIC, InterpMethod.PIECEWISE_CONSTANT)
 INTERPOLATING = (L, H, N)
 
+# One dimension through (0, 0), (1, 1), (2, 0): on [0, 1] the Hermite spline
+# is the smoothstep 3s^2 - 2s^3, and the natural cubic's interior moment is -3.
+T3 = np.array([0.0, 1.0, 2.0])
+X3 = np.array([[0.0], [1.0], [0.0]])
 
-def nodes(times, values):
-    times = np.asarray(times, dtype=float)
-    return DimensionNodes(0, times, np.asarray(values, dtype=float),
-                          np.arange(times.size))
+
+def at(t, X, method, tau, derivative=0):
+    """Column 0 of ``evaluate`` at the time(s) ``tau``."""
+    return evaluate(t, X, method, np.atleast_1d(np.asarray(tau, dtype=float)), derivative)[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -40,26 +42,25 @@ def nodes(times, values):
 # ---------------------------------------------------------------------------
 
 
-def test_select_nodes_fully_specified():
+def test_flat_nodes_fully_specified():
     rng = np.random.default_rng(0)
     fseg = random_fseg(rng, k=4, d=3, unknown_prob=0.0)
-    for dn in select_nodes(fseg):
-        assert dn.times.size == 6
-        np.testing.assert_array_equal(dn.rows, np.arange(6))
+    rows, dims, *_ = flat_nodes(fseg.t, fseg.X, fseg.specified)
+    for j in range(3):
+        np.testing.assert_array_equal(rows[dims == j], np.arange(6))
 
 
-def test_select_nodes_drops_unknowns():
+def test_unknowns_have_no_node():
     rng = np.random.default_rng(1)
     fseg = random_fseg(rng, k=3, d=2, unknown_prob=0.0)
     X = fseg.X.copy()
     X[2, 0] = np.nan          # one unknown in dim 0
     X[1:-1, 1] = np.nan       # all intermediates unknown in dim 1
-    fseg = featural("u", X, fseg.Y, fseg.t)
-    dims = select_nodes(fseg)
-    assert dims[0].times.size == 4   # K+1
-    assert dims[1].times.size == 2   # boundary nodes only
+    _, dims, *_ = flat_nodes(fseg.t, X, ~np.isnan(X))
+    assert np.sum(dims == 0) == 4   # K+1
+    assert np.sum(dims == 1) == 2   # boundary nodes only
     for m in INTERPOLATING:
-        assert interpolate(dims[1], m, fseg.t[2]) == pytest.approx(0.0)
+        assert evaluate(fseg.t, X, m, fseg.t[2:3])[0, 1] == pytest.approx(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -68,53 +69,79 @@ def test_select_nodes_drops_unknowns():
 
 
 def test_linear_midpoint():
-    assert interpolate(nodes([0, 1], [0, 1]), L, 0.5) == pytest.approx(0.5)
+    assert at(T3, X3, L, 0.5)[0] == pytest.approx(0.5)
 
 
 def test_hermite_smoothstep_values():
-    n2 = nodes([0, 1], [0, 1])
-    assert interpolate(n2, H, 0.5) == pytest.approx(0.5)
-    assert interpolate(n2, H, 0.25) == pytest.approx(0.15625, abs=1e-12)
+    assert at(T3, X3, H, 0.5)[0] == pytest.approx(0.5)
+    assert at(T3, X3, H, 0.25)[0] == pytest.approx(0.15625, abs=1e-12)
 
 
 def test_natural_cubic_three_node_value():
     # Interior moment solves to -3 for these nodes; value follows in closed form.
-    n3 = nodes([0, 1, 2], [0, 1, 0])
-    assert interpolate(n3, N, 0.5) == pytest.approx(0.6875, abs=1e-12)
+    assert at(T3, X3, N, 0.5)[0] == pytest.approx(0.6875, abs=1e-12)
 
 
-def test_constant_nodes_reproduce_constant():
-    n3 = nodes([0.0, 0.7, 1.3], [2.5, 2.5, 2.5])
-    taus = np.linspace(0, 1.3, 27)
-    for m in INTERPOLATING:
-        np.testing.assert_allclose(interpolate(n3, m, taus), 2.5, atol=1e-12)
-
-
-def test_two_node_natural_is_linear_hermite_is_not():
-    n2 = nodes([0, 1], [0, 1])
-    taus = np.linspace(0, 1, 11)
-    np.testing.assert_allclose(interpolate(n2, N, taus), taus, atol=1e-12)
-    assert interpolate(n2, H, 0.5) == pytest.approx(0.5)  # mean of endpoints
-    assert interpolate(n2, H, 0.25) != pytest.approx(0.25)
+def test_equal_targets_hold_a_constant_between_them():
+    t = np.array([0.0, 0.4, 0.7, 1.3, 1.6])
+    X = np.array([[0.0], [2.5], [2.5], [2.5], [0.0]])
+    taus = np.linspace(0.4, 1.3, 27)
+    for m in (L, H):
+        np.testing.assert_allclose(at(t, X, m, taus), 2.5, atol=1e-12)
 
 
 def test_node_reproduction_random():
     rng = np.random.default_rng(2)
     for _ in range(30):
         fseg = random_fseg(rng)
-        for dn in select_nodes(fseg):
-            for m in INTERPOLATING:
-                got = interpolate(dn, m, dn.times)
-                np.testing.assert_allclose(got, dn.values, atol=1e-9)
+        for m in INTERPOLATING:
+            got = evaluate(fseg.t, fseg.X, m, fseg.t)
+            for j, rows, _, values in dimension_nodes(fseg.t, fseg.X):
+                np.testing.assert_allclose(got[rows, j], values, atol=1e-9)
 
 
 def test_out_of_range_tau_rejected():
-    n2 = nodes([0, 1], [0, 1])
     for m in INTERPOLATING:
-        with pytest.raises(ForwardError):
-            interpolate(n2, m, 1.5)
-        with pytest.raises(ForwardError):
-            interpolate(n2, m, -0.1)
+        with pytest.raises(ForwardError, match="outside"):
+            at(T3, X3, m, 2.5)
+        with pytest.raises(ForwardError, match="outside"):
+            at(T3, X3, m, [0.5, -0.1])
+
+
+@pytest.mark.parametrize("t", [[0.0, 0.2, 0.1, 0.4], [0.0, 0.2, 0.2, 0.4], [0.4]])
+def test_timings_that_do_not_increase_strictly_are_rejected(t):
+    t = np.array(t)
+    X = np.zeros((t.size, 2))
+    X[1:-1] = 2.0
+    for m in INTERPOLATING:
+        with pytest.raises(ForwardError, match="strictly increasing"):
+            evaluate(t, X, m, np.array([0.0]))
+        with pytest.raises(ForwardError, match="u7: .*strictly increasing"):
+            synthesize_targets("u7", t, X, m, 100.0)
+
+
+def test_first_timing_after_the_first_frame_is_rejected():
+    # The frame grid starts at 1/frame_rate; a later first timing used to
+    # extrapolate the first segment.
+    t = np.array([0.05, 0.2, 0.4])
+    X = np.array([[0.0], [1.0], [0.0]])
+    with pytest.raises(ForwardError, match="u: evaluation time outside"):
+        synthesize_targets("u", t, X, L, 100.0)
+
+
+def test_non_finite_target_rejected():
+    X = X3.copy()
+    X[1, 0] = np.inf
+    for m in INTERPOLATING:
+        with pytest.raises(ForwardError, match="non-finite node value"):
+            at(T3, X, m, 0.5)
+
+
+def test_piecewise_constant_is_not_evaluated_at_timings():
+    with pytest.raises(ForwardError, match="intervals"):
+        at(T3, X3, PC, 0.5)
+    with pytest.raises(ForwardError, match="intervals"):
+        synthesize_targets("u", T3, X3, PC, 100.0)
 
 
 # ---------------------------------------------------------------------------
@@ -123,32 +150,34 @@ def test_out_of_range_tau_rejected():
 
 
 def test_hermite_second_derivative_closed_form():
-    n2 = nodes([0, 1], [0, 1])
     for tau in (0.0, 0.25, 0.5, 0.9):
-        assert second_derivative(n2, H, tau) == pytest.approx(6 - 12 * tau)
+        assert at(T3, X3, H, tau, 2)[0] == pytest.approx(6 - 12 * tau)
+
+
+def test_hermite_second_derivative_takes_the_right_hand_segment_at_a_knot():
+    # Left of t = 1 the curvature tends to -6; the shorter segment to the
+    # right starts at -24.
+    t = np.array([0.0, 1.0, 1.5])
+    X = np.array([[0.0], [1.0], [0.0]])
+    assert at(t, X, H, 1.0, 2)[0] == pytest.approx(-6.0 / 0.25)
 
 
 def test_natural_second_derivative_zero_at_ends():
-    n3 = nodes([0, 1, 2], [0, 1, 0])
-    assert second_derivative(n3, N, 0.0) == 0.0
-    assert second_derivative(n3, N, 2.0) == 0.0
-    assert second_derivative(n3, N, 1.0) == pytest.approx(-3.0)
+    assert at(T3, X3, N, 0.0, 2)[0] == 0.0
+    assert at(T3, X3, N, 2.0, 2)[0] == 0.0
+    assert at(T3, X3, N, 1.0, 2)[0] == pytest.approx(-3.0)
 
 
-def test_second_derivative_constant_nodes_zero():
-    n3 = nodes([0, 1, 2], [4, 4, 4])
-    for m in (H, N):
-        np.testing.assert_allclose(
-            second_derivative(n3, m, np.linspace(0, 2, 9)), 0.0, atol=1e-12
-        )
+def test_hermite_second_derivative_zero_between_equal_targets():
+    t = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    X = np.array([[0.0], [4.0], [4.0], [4.0], [0.0]])
+    np.testing.assert_allclose(at(t, X, H, np.linspace(1, 2.9, 9), 2), 0.0, atol=1e-12)
 
 
 def test_second_derivative_rejects_non_cubic():
-    n2 = nodes([0, 1], [0, 1])
-    with pytest.raises(ForwardError):
-        second_derivative(n2, L, 0.5)
-    with pytest.raises(ForwardError):
-        second_derivative(n2, PC, 0.5)
+    for m, d in ((L, 2), (PC, 2), (H, 1), (N, 3)):
+        with pytest.raises(ForwardError):
+            at(T3, X3, m, 0.5, d)
 
 
 def test_second_derivative_matches_finite_differences():
@@ -156,19 +185,16 @@ def test_second_derivative_matches_finite_differences():
     h = 1e-4
     for _ in range(10):
         fseg = random_fseg(rng, k=4, d=2)
-        for dn in select_nodes(fseg):
-            taus = rng.uniform(h, dn.times[-1] - h, size=5)
+        for j, _, times, _ in dimension_nodes(fseg.t, fseg.X):
+            taus = rng.uniform(h, times[-1] - h, size=5)
             # keep away from Hermite knots where curvature jumps
             for m in (H, N):
+                f, f2 = column(fseg.t, fseg.X, j, m), column(fseg.t, fseg.X, j, m, 2)
                 for tau in taus:
-                    if m is H and np.min(np.abs(dn.times - tau)) < 10 * h:
+                    if m is H and np.min(np.abs(times - tau)) < 10 * h:
                         continue
-                    fd = (
-                        interpolate(dn, m, tau + h)
-                        - 2 * interpolate(dn, m, tau)
-                        + interpolate(dn, m, tau - h)
-                    ) / h**2
-                    assert second_derivative(dn, m, tau) == pytest.approx(fd, abs=1e-3, rel=1e-3)
+                    fd = (f(tau + h) - 2 * f(tau) + f(tau - h)) / h**2
+                    assert f2(tau) == pytest.approx(fd, abs=1e-3, rel=1e-3)
 
 
 def test_hermite_zero_velocity_at_nodes():
@@ -178,11 +204,11 @@ def test_hermite_zero_velocity_at_nodes():
     h = 1e-5
     for _ in range(10):
         fseg = random_fseg(rng, k=5, d=2, dur_range=(0.2, 0.5))
-        for dn in select_nodes(fseg):
-            f = lambda x: interpolate(dn, H, x)
-            scale = max(1.0, np.max(np.abs(dn.values)))
-            for i, tk in enumerate(dn.times):
-                sides = [1] if i == 0 else [-1] if i == dn.times.size - 1 else [-1, 1]
+        for j, _, times, values in dimension_nodes(fseg.t, fseg.X):
+            f = column(fseg.t, fseg.X, j, H)
+            scale = max(1.0, np.max(np.abs(values)))
+            for i, tk in enumerate(times):
+                sides = [1] if i == 0 else [-1] if i == times.size - 1 else [-1, 1]
                 for side in sides:
                     vel = one_sided_derivative(f, tk, h, side)
                     assert abs(vel) / scale < 1e-6
@@ -194,9 +220,9 @@ def test_natural_c2_continuity_at_knots():
     rng = np.random.default_rng(5)
     for _ in range(10):
         fseg = random_fseg(rng, k=5, d=2, dur_range=(0.2, 0.5))
-        for dn in select_nodes(fseg):
-            f = lambda x: interpolate(dn, N, x)
-            for tk in dn.times[1:-1]:
+        for j, _, times, _ in dimension_nodes(fseg.t, fseg.X):
+            f = column(fseg.t, fseg.X, j, N)
+            for tk in times[1:-1]:
                 pos = abs(f(tk - 1e-9) - f(tk + 1e-9))
                 vel = abs(one_sided_derivative(f, tk, 1e-5, -1)
                           - one_sided_derivative(f, tk, 1e-5, +1))
@@ -253,22 +279,6 @@ def test_piecewise_constant_requires_fully_specified():
         synthesize(_fseg_of(("p", 0.0, 0.4)), PC, 100.0)  # gp_unknown has unknowns
 
 
-def test_piecewise_constant_through_interpolate():
-    binary = get_table("gp_binary")
-    seg = PhoneSegmentation("u", (Phone("aa", 0.0, 0.2), Phone("p", 0.2, 0.5)))
-    fseg = build_featural(seg, binary)
-    dn = select_nodes(fseg)[0]
-    from phonotraj.phonology import encode_target
-
-    aa0, p0 = encode_target(binary, "aa")[0], encode_target(binary, "p")[0]
-    assert interpolate(dn, PC, 0.0) == aa0
-    assert interpolate(dn, PC, 0.19) == aa0
-    assert interpolate(dn, PC, 0.3) == p0
-    assert interpolate(dn, PC, 0.5) == p0  # last interval closed at the end
-    with pytest.raises(ForwardError):
-        interpolate(dn, PC, 0.6)
-
-
 def test_piecewise_constant_holds_phone_intervals():
     binary = get_table("gp_binary")
     seg = PhoneSegmentation("u", (Phone("aa", 0.0, 0.2), Phone("p", 0.2, 0.5)))
@@ -292,19 +302,33 @@ def test_synthesis_is_finite_for_random_masks():
             assert traj.frames.shape[0] == frame_count(fseg.duration, 100.0)
 
 
-def test_synthesis_columns_equal_single_dimension_interpolants():
-    # The batched node-pattern path and the per-dimension API agree.
+def test_each_column_evaluates_as_if_alone():
+    # One stacked table and one moment solve for all dimensions give each
+    # column what evaluating it alone gives.
     rng = np.random.default_rng(10)
     for _ in range(20):
         fseg = random_fseg(rng, k=int(rng.integers(1, 12)), d=int(rng.integers(1, 12)),
                            unknown_prob=0.4)
         taus = frame_times(fseg.duration, 100.0)
-        dims = select_nodes(fseg)
         for m in INTERPOLATING:
             frames = synthesize(fseg, m, 100.0).frames
-            for j, dn in enumerate(dims):
-                np.testing.assert_allclose(frames[:, j], interpolate(dn, m, taus),
+            for j in range(fseg.X.shape[1]):
+                np.testing.assert_allclose(frames[:, j], at(fseg.t, fseg.X[:, [j]], m, taus),
                                            rtol=0, atol=1e-12)
+
+
+def test_evaluate_is_linear_in_fully_specified_node_values():
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        fseg = random_fseg(rng, k=int(rng.integers(1, 12)), d=int(rng.integers(1, 9)),
+                           unknown_prob=0.0)
+        T = rng.normal(size=(fseg.X.shape[1], int(rng.integers(1, 9))))
+        taus = np.concatenate((fseg.t, rng.uniform(0.0, fseg.duration, size=30)))
+        for m in INTERPOLATING:
+            for derivative in (0, 2) if m.is_cubic else (0,):
+                a = evaluate(fseg.t, fseg.X @ T, m, taus, derivative)
+                b = evaluate(fseg.t, fseg.X, m, taus, derivative) @ T
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12 * max(1.0, np.abs(b).max()))
 
 
 def test_synthesize_targets_matches_synthesize_at_midpoints():
@@ -326,9 +350,10 @@ def _reference(method, times, values):
 
 def test_synthesis_matches_numpy_and_scipy_interpolants():
     # An oracle that shares no code with the segment table that synthesis
-    # and interpolate both read.  Column 0 keeps only its boundary nodes,
-    # column 1 has exactly three nodes; every fourth case has one target;
-    # odd cases move the timings off the interval midpoints.
+    # and evaluate read.  Column 0 keeps only its boundary nodes, column 1
+    # has exactly three nodes; every fourth case has one target; odd cases
+    # move the timings off the interval midpoints.  The cubics' second
+    # derivatives are checked against scipy's as well.
     rng = np.random.default_rng(11)
     for case in range(40):
         k = 1 if case % 4 == 0 else int(rng.integers(2, 12))
@@ -346,25 +371,29 @@ def test_synthesis_matches_numpy_and_scipy_interpolants():
                 frames = synthesize_targets("u", t, X, m, 100.0).frames
             else:
                 frames = synthesize(featural("u", X, fseg.Y, t), m, 100.0).frames
+            curvature = evaluate(t, X, m, taus, 2) if m.is_cubic else None
             for j in range(X.shape[1]):
                 rows = np.flatnonzero(~np.isnan(X[:, j]))
-                ref = _reference(m, t[rows], X[rows, j])(taus)
-                np.testing.assert_allclose(frames[:, j], ref, rtol=0, atol=1e-9)
+                ref = _reference(m, t[rows], X[rows, j])
+                np.testing.assert_allclose(frames[:, j], ref(taus), rtol=0, atol=1e-9)
+                if m.is_cubic:
+                    ref2 = ref(taus, 2)
+                    np.testing.assert_allclose(curvature[:, j], ref2, rtol=1e-9,
+                                               atol=1e-9 * max(1.0, np.max(np.abs(ref2))))
 
 
-def test_one_banded_solve_per_node_set_and_per_utterance(monkeypatch):
+def test_one_banded_solve_per_evaluation_and_per_utterance(monkeypatch):
     solves = []
     real = forward.solve_tridiagonal
     monkeypatch.setattr(forward, "solve_tridiagonal",
                         lambda *a, **kw: solves.append(1) or real(*a, **kw))
-    dn = nodes([0.0, 0.3, 0.5, 0.9, 1.2], [0.0, 1.0, -0.5, 0.25, 0.0])
-    for tau in np.linspace(0.0, 1.2, 50):
-        interpolate(dn, N, tau)
-        second_derivative(dn, N, tau)
-    assert len(solves) == 1
-    solves.clear()
     fseg = random_fseg(np.random.default_rng(12), k=10, d=12, unknown_prob=0.4)
     assert np.unique(fseg.specified, axis=1).shape[1] > 1  # several node masks
+    taus = np.linspace(0.0, fseg.duration, 50)
+    for derivative in (0, 2):
+        evaluate(fseg.t, fseg.X, N, taus, derivative)
+        assert len(solves) == 1
+        solves.clear()
     synthesize(fseg, N, 100.0)
     assert len(solves) == 1
 

@@ -6,10 +6,9 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
-from conftest import featural, gradient_check, random_fseg
+from conftest import column, dimension_nodes, featural, gradient_check, random_fseg
 from phonotraj import forward
-from phonotraj.forward import (DimensionNodes, InterpMethod, interpolate,
-                               second_derivative)
+from phonotraj.forward import InterpMethod, evaluate
 from phonotraj.optimize import (REL_TOL, OptimConfig, OptimizeError, attainment_term,
                                 grid_configs, gradients, objective, objective_terms,
                                 optimize_targets, project_timings, smoothness_term)
@@ -30,18 +29,10 @@ def quad_smoothness(fseg, method, t=None, X=None):
     t = fseg.t if t is None else t
     X = fseg.X if X is None else X
     total = 0.0
-    mask = ~np.isnan(X)
-    mask[0, :] = mask[-1, :] = True
-    last = X.shape[0] - 1
-    for j in range(X.shape[1]):
-        rows = np.flatnonzero(mask[:, j])
-        values = X[rows, j].copy()
-        values[rows == 0] = 0.0
-        values[rows == last] = 0.0
-        dn = DimensionNodes(j, t[rows], values, rows)
-        for a, b in zip(dn.times[:-1], dn.times[1:]):
-            total += quad(lambda x: second_derivative(dn, method, x) ** 2, a, b,
-                          limit=200)[0]
+    for j, _, times, _ in dimension_nodes(t, X):
+        curvature = column(t, X, j, method, 2)
+        for a, b in zip(times[:-1], times[1:]):
+            total += quad(lambda x: curvature(x) ** 2, a, b, limit=200)[0]
     return total
 
 
@@ -152,21 +143,9 @@ def test_attainment_identity_with_interpolation_constraint():
             tp = fseg.t.copy()
             tp[1:-1] += rng.uniform(-0.01, 0.01, size=tp.size - 2)
             direct = attainment_term(Xp, fseg.X, fseg.specified)
-            via_g = 0.0
-            mask = fseg.specified.copy()
-            mask[0, :] = mask[-1, :] = True
-            last = Xp.shape[0] - 1
-            for j in range(Xp.shape[1]):
-                rows = np.flatnonzero(mask[:, j])
-                values = Xp[rows, j].copy()
-                values[rows == 0] = 0.0
-                values[rows == last] = 0.0
-                dn = DimensionNodes(j, tp[rows], values, rows)
-                for idx, k in enumerate(rows):
-                    if k in (0, last):
-                        continue
-                    g = interpolate(dn, m, tp[k])
-                    via_g += (g - fseg.X[k, j]) ** 2
+            g = evaluate(tp, Xp, m, tp[1:-1])
+            inner = fseg.specified[1:-1]
+            via_g = float(np.sum((g[inner] - fseg.X[1:-1][inner]) ** 2))
             assert direct == pytest.approx(via_g, abs=1e-12 * max(1.0, direct))
 
 

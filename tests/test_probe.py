@@ -3,9 +3,11 @@ import logging
 import numpy as np
 import pytest
 
+from phonotraj.alignment import Phone, PhoneSegmentation, build_featural
 from phonotraj.cli import _LazySequence
 from phonotraj.ema import ArticulatorySeries
-from phonotraj.forward import Trajectory
+from phonotraj.forward import InterpMethod, Trajectory, frame_count, synthesize
+from phonotraj.phonology import SILENCE, get_table
 from phonotraj.probe import (ADAM_BETAS, ADAM_EPS, ADAM_LR, AdamState,
                              ProbeError, ProbeModel, _statistics, adam_step,
                              aggregate, dataset_loss, pearson, score,
@@ -117,6 +119,43 @@ def test_probe_recovers_noiseless_affine_map():
     oracle_loss = dataset_loss(*_weighted_lstsq(train), test)
     scale = dataset_loss(np.zeros_like(probe.weight), np.zeros(6), test)  # target energy
     assert abs(dataset_loss(probe.weight, probe.bias, test) - oracle_loss) <= 1e-9 * scale
+
+
+@pytest.fixture(scope="module")
+def random_corpus():
+    """60 random segmentations over the shipped inventory, each with random
+    6-D targets on its frame grid: 50 to train on, 10 for dev."""
+    rng = np.random.default_rng(31)
+    labels = [p for p in get_table("phoneme_onehot").inventory if p != SILENCE]
+    corpus = []
+    for u in range(60):
+        ends = np.cumsum(rng.uniform(0.05, 0.15, size=int(rng.integers(3, 13))))
+        seg = PhoneSegmentation(f"u{u}", tuple(
+            Phone(str(rng.choice(labels)), float(a), float(b))
+            for a, b in zip(np.r_[0.0, ends[:-1]], ends)))
+        Z = rng.normal(size=(frame_count(ends[-1], 100.0), 6))
+        corpus.append((seg, ArticulatorySeries(f"u{u}", Z)))
+    return corpus
+
+
+@pytest.mark.parametrize("method", [InterpMethod.LINEAR, InterpMethod.CUBIC_HERMITE,
+                                    InterpMethod.NATURAL_CUBIC], ids=lambda m: m.value)
+def test_phoneme_onehot_is_the_ceiling_of_fully_specified_sets(random_corpus, method):
+    # A fully specified table T gives the trajectory F1 @ T of the one-hot
+    # set's F1 (evaluate is linear in the node values), so its probe fits a
+    # subset of the one-hot probe's maps; a table with unknown entries has
+    # other nodes and may fit better.
+    def train_loss(set_id):
+        table = get_table(set_id)
+        pairs = [(synthesize(build_featural(seg, table), method), z) for seg, z in random_corpus]
+        probe = train_probe(pairs[:50], pairs[50:])
+        return dataset_loss(probe.weight, probe.bias, pairs[:50])
+
+    ceiling = train_loss("phoneme_onehot")
+    for set_id in ("gp_binary", "ap_onehot", "ap_scalar"):
+        assert train_loss(set_id) >= ceiling - 1e-9, set_id
+    assert train_loss("gp_binary_phoneme") == pytest.approx(ceiling, rel=0, abs=1e-9)
+    assert train_loss("gp_unknown_phoneme") < ceiling - 1e-3
 
 
 def test_statistics_gradient_equals_frame_gradient():
