@@ -248,11 +248,15 @@ class Cache:
             return None
 
     def put(self, key: str, value) -> None:
-        """Write through this writer's own temporary file: runs may share a cache."""
+        """Write through this writer's own temporary file: runs may share a cache.
+
+        Protocol 5 (PEP 574) writes each array's buffer as it stands; earlier
+        protocols copy it into a ``bytes`` object that the pickler holds until
+        the dump ends, so a write would hold the value twice."""
         fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as f:
-                pickle.dump(value, f)
+                pickle.dump(value, f, protocol=5)
             os.replace(tmp, self.path(key))
         except BaseException:
             os.unlink(tmp)
@@ -503,19 +507,19 @@ def _speaker_score(
     """Pearson row on ``eval_part`` of the probe fitted on train, and the kept
     descent steps of each optimized utterance, by utterance id.
 
-    Each utterance is synthesized (and optimized) once.  The dev pairs are
-    made first and held, since a grid point scores them too.  The train
-    pairs stream through the fit, one train trajectory alive at a time, and
-    a test ``eval_part`` streams through ``score`` after the fit, so train
-    and test trajectories are never held together.
+    Each utterance is synthesized (and optimized) once.  The train pairs
+    stream through the fit, one train trajectory alive at a time.  A grid
+    point (``eval_part="dev"``) makes the dev pairs first and holds them,
+    since it scores them after the fit too.  On the test path dev streams
+    through the fit's dev loss after train, and test through ``score``
+    after that, so no two splits' trajectories are ever held together.
     """
     steps: dict[str, int] = {}
-    dev = list(_speaker_pairs(data, cfg, optim, "dev", steps))
-    probe = train_probe(_speaker_pairs(data, cfg, optim, "train", steps), dev)
+    pairs = functools.partial(_speaker_pairs, data, cfg, optim, steps=steps)
     if eval_part == "dev":
-        return score(probe, dev), steps
-    del dev
-    return score(probe, _speaker_pairs(data, cfg, optim, eval_part, steps)), steps
+        dev = list(pairs("dev"))
+        return score(train_probe(pairs("train"), dev), dev), steps
+    return score(train_probe(pairs("train"), pairs("dev")), pairs(eval_part)), steps
 
 
 def _grid_axes(oc: OptimConfig) -> dict:

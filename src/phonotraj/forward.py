@@ -18,10 +18,12 @@ builds one flat table per utterance, each segment's polynomial
 coefficients (the pp-form) for every dimension, with all natural-cubic
 moments from one tridiagonal solve: LAPACK ``dgtsv``, loaded from scipy's
 compiled ``_flapack`` by ``_scipy_extension`` without importing
-``scipy.linalg``.  Synthesis is ``evaluate`` on the frame grid.
+``scipy.linalg``, at the first natural-cubic solve, so a linear or Hermite
+run never loads it.  Synthesis is ``evaluate`` on the frame grid.
 """
 from __future__ import annotations
 
+import functools
 import importlib
 import importlib.machinery
 import importlib.util
@@ -150,7 +152,11 @@ def _scipy_extension(subpackage: str, name: str):
     return importlib.import_module(f"scipy.{subpackage}.{name}")
 
 
-_flapack = _scipy_extension("linalg", "_flapack")
+@functools.cache
+def _lapack():
+    """scipy's compiled LAPACK ``_flapack``, loaded on first use: only
+    natural-cubic solves need its 2.6 MB."""
+    return _scipy_extension("linalg", "_flapack")
 
 
 def solve_tridiagonal(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -164,7 +170,7 @@ def solve_tridiagonal(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     if ab.shape[1] == 1:
         return b / ab[1, 0]
-    *_, x, info = _flapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+    *_, x, info = _lapack().dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     return x
@@ -251,6 +257,8 @@ def evaluate(t: np.ndarray, X: np.ndarray, method: InterpMethod, taus: np.ndarra
         raise ForwardError(f"derivative {derivative} undefined for {method.value}")
     if t.size < 2 or not (t[1:] > t[:-1]).all():
         raise ForwardError("timings need at least 2 entries, strictly increasing")
+    if X.shape[0] != t.size:
+        raise ForwardError(f"{X.shape[0]} target rows for {t.size} timings")
     if (taus < t[0] - 1e-12).any() or (taus > t[-1] + 1e-12).any():
         raise ForwardError(f"evaluation time outside [{t[0]}, {t[-1]}]")
     mask = _node_mask(~np.isnan(X))

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -460,7 +461,8 @@ def test_speaker_score_fits_the_probe_before_it_synthesizes_the_test_split(
                                                            by_fseg))
     monkeypatch.setattr(cli, "train_probe", recording("fit", cli.train_probe, lambda *_: None))
     cli._speaker_score(data, cfg, optim, "test")
-    order = [u for part in ("dev", "train", "test") for u in data.part(part)]
+    # dev streams through the fit's dev loss after train
+    order = [u for part in ("train", "dev", "test") for u in data.part(part)]
     assert [u for kind, u in events if kind == "synth"] == order  # each utterance once
     if optim is not None:
         assert [u for kind, u in events if kind == "optimize"] == order
@@ -511,6 +513,34 @@ def test_speaker_score_holds_one_train_trajectory_at_a_time(trio_root, monkeypat
     assert sorted(u for kind, u in events if kind == "optimize") == (every if optim else [])
     first_test = min(i for i, (_, u) in enumerate(events) if u in data.part("test"))
     assert events.index(("fit", None)) < first_test
+
+
+@pytest.mark.parametrize("method, optim", [
+    ("linear", None), ("cubic_hermite", OptimConfig(max_steps=1, optimize_position=True))])
+def test_speaker_score_holds_no_dev_trajectory_while_train_streams(trio_root, monkeypatch,
+                                                                   method, optim):
+    # The test path used to make the dev pairs first and hold them through
+    # the fit, as a grid point still does.
+    cfg = synthetic_config(trio_root, utterances=14, speakers=3, method=method)
+    data = prepare_speaker(cfg, resolve_table(cfg), "spk00")
+    dev = set(data.part("dev"))
+    made, dev_alive = [], []
+
+    def tracking(fn):
+        def wrapper(*args):
+            traj = fn(*args)
+            gc.collect()
+            dev_alive.append(sum(ref() is not None for u, ref in made if u in dev))
+            made.append((traj.utterance_id, weakref.ref(traj)))
+            return traj
+        return wrapper
+
+    monkeypatch.setattr(cli, "synthesize", tracking(cli.synthesize))
+    monkeypatch.setattr(cli, "synthesize_targets", tracking(cli.synthesize_targets))
+    cli._speaker_score(data, cfg, optim, "test")
+    assert dev_alive == [0] * len(made)
+    every = sorted(u for part in ("train", "dev", "test") for u in data.part(part))
+    assert sorted(u for u, _ in made) == every  # each utterance once
 
 
 @pytest.mark.parametrize("method, optim", [
@@ -1122,11 +1152,11 @@ def test_writers_of_one_key_use_their_own_temporary_files(tmp_path, monkeypatch)
     dump = pickle.dump
     nested = []
 
-    def dump_after_another_writer(value, f):
+    def dump_after_another_writer(value, f, protocol):
         if not nested:
             nested.append(True)
             cache.put("same", "inner")
-        dump(value, f)
+        dump(value, f, protocol)
 
     monkeypatch.setattr(cli.pickle, "dump", dump_after_another_writer)
     cache.put("same", "outer")
@@ -1158,13 +1188,33 @@ def test_concurrent_writers_of_one_key_all_succeed(tmp_path):
 def test_a_failed_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch):
     cache = cli.Cache(tmp_path / "cache")
 
-    def disk_full(value, f):
+    def disk_full(value, f, protocol):
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(cli.pickle, "dump", disk_full)
     with pytest.raises(OSError, match="No space left"):
         cache.put("key", "value")
     assert list(cache.root.iterdir()) == []
+
+
+def test_a_cache_write_does_not_copy_the_arrays_it_writes(tmp_path):
+    # Protocol 4 copied every array into a bytes object that the pickler
+    # held until the dump ended: the peak was the value twice over.
+    cache = cli.Cache(tmp_path / "cache")
+    tracemalloc.start()
+    try:
+        value = {f"u{i}": np.full((1024, 16), float(i)) for i in range(64)}
+        size = sum(a.nbytes for a in value.values())
+        assert size == 8 * 2**20
+        tracemalloc.reset_peak()
+        cache.put("key", value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * size
+    back = cache.get("key")
+    assert back.keys() == value.keys()
+    assert all(np.array_equal(back[u], value[u]) for u in value)
 
 
 def test_cache_invalidated_when_inputs_change(tmp_path):

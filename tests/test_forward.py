@@ -1,5 +1,8 @@
 import importlib.machinery
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +121,19 @@ def test_timings_that_do_not_increase_strictly_are_rejected(t):
             evaluate(t, X, m, np.array([0.0]))
         with pytest.raises(ForwardError, match="u7: .*strictly increasing"):
             synthesize_targets("u7", t, X, m, 100.0)
+
+
+@pytest.mark.parametrize("timings, rows", [(4, 3), (3, 4)])
+def test_targets_need_one_row_per_timing(timings, rows):
+    # A row count off by one used to raise a bare IndexError from the
+    # segment lookup.
+    t = np.linspace(0.0, 0.3, timings)
+    X = np.ones((rows, 2))
+    for m in INTERPOLATING:
+        with pytest.raises(ForwardError, match=f"{rows} target rows for {timings} timings"):
+            evaluate(t, X, m, np.array([0.1]))
+        with pytest.raises(ForwardError, match=f"u: {rows} target rows for {timings} timings"):
+            synthesize_targets("u", t, X, m, 100.0)
 
 
 def test_first_timing_after_the_first_frame_is_rejected():
@@ -427,7 +443,7 @@ def test_moments_without_the_compiled_extension_fall_back_to_solve_banded(monkey
     monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
     flapack = forward._scipy_extension("linalg", "_flapack")
     assert flapack is sys.modules["scipy.linalg._flapack"]
-    monkeypatch.setattr(forward, "_flapack", flapack)
+    monkeypatch.setattr(forward, "_lapack", lambda: flapack)
     assert np.array_equal(forward.moment_system(h, dv, ends), expected)
     ab = np.zeros((3, 40))  # a diagonally dominant tridiagonal system
     ab[0, 1:] = ab[2, :-1] = rng.uniform(0.05, 0.3, size=39)
@@ -435,6 +451,37 @@ def test_moments_without_the_compiled_extension_fall_back_to_solve_banded(monkey
     b = rng.normal(size=40)
     assert np.array_equal(forward.solve_tridiagonal(ab, b),
                           solve_banded((1, 1), ab, b, check_finite=False))
+
+
+def test_lapack_is_loaded_at_the_first_natural_cubic_solve(tmp_path):
+    """Linear and Hermite runs never load scipy's 2.6 MB ``_flapack``; a
+    natural-cubic synthesis loads it once and solves as ``solve_banded``."""
+    code = f"""
+import sys
+import numpy as np
+import phonotraj.cli as cli
+from conftest import random_fseg, synthetic_config
+from phonotraj import forward
+root = cli.generate_synthetic({str(tmp_path)!r}, speakers=1, utterances=14, dim=4, seed=1)
+for method in ("linear", "cubic_hermite"):
+    cli.run_experiment(synthetic_config(root, utterances=14, speakers=1, method=method,
+                                        out_dir={str(tmp_path / "out")!r} + method))
+assert "scipy.linalg._flapack" not in sys.modules
+fseg = random_fseg(np.random.default_rng(3), k=6, d=5, unknown_prob=0.4)
+for _ in range(2):
+    forward.synthesize(fseg, forward.InterpMethod.NATURAL_CUBIC)
+assert "scipy.linalg._flapack" in sys.modules
+assert forward._lapack.cache_info().misses == 1
+from scipy.linalg import solve_banded
+ab, b = np.random.default_rng(4).normal(size=(3, 30)), np.arange(30.0)
+ab[1] += 4.0 * np.sign(ab[1])
+assert np.array_equal(forward.solve_tridiagonal(ab, b),
+                      solve_banded((1, 1), ab, b, check_finite=False))
+"""
+    path = os.pathsep.join([str(Path(forward.__file__).resolve().parents[1]),
+                            str(Path(__file__).parent)])
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=tmp_path,
+                   env={**os.environ, "PYTHONPATH": path})
 
 
 def test_trajectory_binary_round_trip(tmp_path):

@@ -112,9 +112,9 @@ def test_objective_matches_scipy_spline_energy():
 
 def test_one_banded_solve_per_objective_and_per_gradient(monkeypatch):
     # the gradient's adjoint is M / 3 in closed form: its only solve is the moments'
-    solves, lapack = [], forward._flapack
-    monkeypatch.setattr(forward, "_flapack", SimpleNamespace(
-        dgtsv=lambda *a: solves.append(1) or lapack.dgtsv(*a)))
+    solves, lapack = [], forward._lapack()
+    counting = SimpleNamespace(dgtsv=lambda *a: solves.append(1) or lapack.dgtsv(*a))
+    monkeypatch.setattr(forward, "_lapack", lambda: counting)
     fseg = random_fseg(np.random.default_rng(13), k=10, d=12, unknown_prob=0.4)
     assert np.unique(fseg.specified, axis=1).shape[1] > 1  # several node masks
     args = (fseg.t, fseg.X, fseg.specified, fseg.X, 1e3, N)
