@@ -8,8 +8,7 @@ from .ema import (ArticulatorySeries, EmaRecord, GuidedPcaModel, align_frames,
                   filter_and_downsample, fit_guided_pca, load_ema, project)
 from .forward import InterpMethod, Trajectory, evaluate, synthesize
 from .optimize import OptimConfig, OptimizedTargets, objective, optimize_targets
-from .phonology import (ApCategoryScale, FeatureTable, encode_target,
-                        enrich_with_phonemes, get_table, load_feature_table)
+from .phonology import FeatureTable, enrich_with_phonemes, get_table, load_feature_table
 from .probe import ProbeModel, ScoreReport, aggregate, pearson, score, train_probe
 
 __all__ = [
@@ -20,7 +19,6 @@ __all__ = [
     "filter_and_downsample", "fit_guided_pca", "load_ema", "project",
     "InterpMethod", "Trajectory", "evaluate", "synthesize",
     "OptimConfig", "OptimizedTargets", "objective", "optimize_targets",
-    "ApCategoryScale", "FeatureTable", "encode_target", "enrich_with_phonemes",
-    "get_table", "load_feature_table",
+    "FeatureTable", "enrich_with_phonemes", "get_table", "load_feature_table",
     "ProbeModel", "ScoreReport", "aggregate", "pearson", "score", "train_probe",
 ]

@@ -90,6 +90,10 @@ class ExperimentConfig:
             raise ConfigError(f"speakers must be a list of names, got {self.speakers!r}")
         if not self.speakers:
             raise ConfigError("config lists no speakers")
+        odd = [s for s in self.speakers if s in ("", ".", "..") or "/" in s]
+        if odd:
+            raise ConfigError(f"speaker names must each name a directory under dataset_root: "
+                              f"{', '.join(map(repr, odd))}")
         repeated = sorted({s for s in self.speakers if self.speakers.count(s) > 1})
         if repeated:
             raise ConfigError(f"speakers listed more than once: {', '.join(repeated)}")
@@ -627,10 +631,13 @@ def generate_synthetic(
     trajectory frames align exactly.  EMA channels embed the 6 parameters by
     ``ema``'s own coil layout (``LI``, ``GROUPS``, ``LL_Y``), through a fixed
     full-rank linear map per speaker, which guided PCA inverts up to an
-    affine change of basis the probe absorbs.
+    affine change of basis the probe absorbs.  ``noise``, a finite number
+    >= 0, is the standard deviation of Gaussian noise on the parameters.
     """
     if speakers < 1 or utterances < 1 or dim < 1:
         raise ConfigError("speakers, utterances and dim must be >= 1")
+    if not (np.isfinite(noise) and noise >= 0):
+        raise ConfigError(f"noise must be a finite number >= 0, got {noise}")
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

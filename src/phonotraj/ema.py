@@ -212,15 +212,6 @@ def load_csv(path) -> EmaRecord:
     return EmaRecord(path.stem, int(round(1.0 / dt)), channels, repairs)
 
 
-def write_csv(path, rec: EmaRecord) -> None:
-    n = rec.channels.shape[0]
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("time," + ",".join(CHANNELS) + "\n")
-        for i in range(n):
-            f.write(f"{i / rec.sample_rate:.9g},"
-                    + ",".join(f"{v:.9g}" for v in rec.channels[i]) + "\n")
-
-
 EMA_READERS = {".ema": load_est_track, ".csv": load_csv}
 
 

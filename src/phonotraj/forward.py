@@ -73,10 +73,6 @@ class Trajectory:
     frame_rate: float
     frames: np.ndarray  # (n, d)
 
-    @property
-    def times(self) -> np.ndarray:
-        return (np.arange(self.frames.shape[0]) + 1) / self.frame_rate
-
     def to_csv(self, path: str | Path) -> None:
         n, d = self.frames.shape
         with open(path, "w", encoding="utf-8") as f:
@@ -91,15 +87,6 @@ class Trajectory:
             f.write(TRAJECTORY_MAGIC)
             f.write(struct.pack("<II", n, d))
             f.write(np.ascontiguousarray(self.frames, dtype="<f8").tobytes())
-
-
-def load_binary(path: str | Path, utterance_id: str = "", frame_rate: float = 100.0) -> Trajectory:
-    raw = Path(path).read_bytes()
-    if raw[:4] != TRAJECTORY_MAGIC:
-        raise ForwardError(f"{path}: bad magic {raw[:4]!r}")
-    n, d = struct.unpack("<II", raw[4:12])
-    frames = np.frombuffer(raw[12:], dtype="<f8", count=n * d).reshape(n, d).copy()
-    return Trajectory(utterance_id or Path(path).stem, frame_rate, frames)
 
 
 def frame_count(duration: float, frame_rate: float) -> int:

@@ -131,11 +131,6 @@ def _curvature_energy(method: InterpMethod, times: np.ndarray, values: np.ndarra
     return float(np.sum(h * (M[:-1] ** 2 + M[:-1] * M[1:] + M[1:] ** 2) / 3.0))
 
 
-def smoothness_term(times: np.ndarray, values: np.ndarray, method: InterpMethod) -> float:
-    """Exact integral of g''(tau)^2 over the node span of one dimension."""
-    return _curvature_energy(method, times, values, [0, -1])
-
-
 def attainment_term(
     X_cand: np.ndarray, X_orig: np.ndarray, mask: np.ndarray
 ) -> float:

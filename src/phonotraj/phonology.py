@@ -54,28 +54,6 @@ class FeatureTableError(ValueError):
     """Malformed feature-table data or an invalid lookup."""
 
 
-@dataclass(frozen=True)
-class ApCategoryScale:
-    """Ordered category inventory per tract-variable feature.
-
-    ``categories[f]`` lists category labels in rank order; scalar values are
-    equidistant in [0, 1] along that order.
-    """
-
-    categories: dict[str, tuple[str, ...]]
-
-    def rank(self, feature: str, category: str) -> int:
-        """Position of ``category`` in ``feature``'s order; unknown ones are errors."""
-        cats = self.categories[feature]
-        if category not in cats:
-            raise FeatureTableError(f"unknown category {category!r} for feature {feature!r}")
-        return cats.index(category)
-
-    def scalar(self, feature: str, category: str) -> float:
-        top = len(self.categories[feature]) - 1
-        return self.rank(feature, category) / top if top else 0.0
-
-
 @dataclass(frozen=True, eq=False)
 class FeatureTable:
     """Immutable phoneme -> feature-vector lookup.
@@ -145,8 +123,10 @@ def load_inventory() -> tuple[str, ...]:
     return tuple(labels)
 
 
-def load_ap_scale() -> ApCategoryScale:
-    """Read the shipped feature/category/rank TSV defining the AP category orders."""
+def load_ap_scale() -> dict[str, tuple[str, ...]]:
+    """Read the shipped feature/category/rank TSV: each tract variable's
+    category labels in rank order, scalar values equidistant in [0, 1]
+    along it."""
     p = _data_path("ap_scale.tsv")
     ranks: dict[str, dict[int, str]] = {}
     for i, line in enumerate(p.read_text(encoding="utf-8").splitlines()):
@@ -167,7 +147,7 @@ def load_ap_scale() -> ApCategoryScale:
         if sorted(per) != list(range(len(per))):
             raise FeatureTableError(f"{p}: ranks for {feat!r} are not 0..{len(per) - 1}")
         categories[feat] = tuple(per[r] for r in range(len(per)))
-    return ApCategoryScale(categories)
+    return categories
 
 
 def _read_rows(path: Path) -> tuple[tuple[str, ...], list[tuple[int, str, list[str]]]]:
@@ -213,11 +193,11 @@ def _columns(path: Path, set_id: str, header: tuple[str, ...]) -> list[tuple[tup
     scale = load_ap_scale()
     columns = []
     for feat in header:
-        if feat not in scale.categories:
+        if feat not in scale:
             raise FeatureTableError(f"{path}: feature {feat!r} missing from category scale")
-        cats = scale.categories[feat]
+        cats = scale[feat]
         if set_id == "ap_scalar":
-            dims, cells = (feat,), {c: (scale.scalar(feat, c),) for c in cats}
+            dims, cells = (feat,), {c: (r / max(len(cats) - 1, 1),) for r, c in enumerate(cats)}
         else:
             dims = tuple(f"{feat}={c}" for c in cats)
             cells = {c: tuple(float(i == r) for i in range(len(cats))) for r, c in enumerate(cats)}
@@ -301,8 +281,3 @@ def get_table(set_id: str, table_path: str | Path | None = None) -> FeatureTable
         return build_phoneme_onehot()
     table = load_feature_table(table_path or _data_path(_SHIPPED_FILES[base]), base)
     return enrich_with_phonemes(table) if base != set_id else table
-
-
-def encode_target(table: FeatureTable, phoneme: str) -> np.ndarray:
-    """Feature vector for one phoneme (a copy; NaN marks unknown entries)."""
-    return table.matrix[table.row(phoneme)].copy()

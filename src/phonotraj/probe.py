@@ -120,12 +120,6 @@ def _statistics(F: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return A.T @ A / F.shape[0], Z.T @ A / F.shape[0]
 
 
-def dataset_loss(weight: np.ndarray, bias: np.ndarray, pairs: list[Pair]) -> float:
-    """Mean over utterances of the frame-mean squared reconstruction error."""
-    losses = [_utterance_loss(weight, bias, *_aligned(p)) for p in pairs]
-    return float(np.mean(losses))
-
-
 def _widths(F: np.ndarray, Z: np.ndarray, G: np.ndarray, C: np.ndarray) -> None:
     if F.shape[1] + 1 != G.shape[0] or Z.shape[1] != C.shape[0]:
         raise ProbeError("inconsistent feature or parameter dimensions")
@@ -265,7 +259,8 @@ def aggregate(
     parameters: tuple[str, ...] = PARAMETERS,
 ) -> ScoreReport:
     """Row/column/grand means of a complete PCC matrix, plus the standard
-    error of the per-speaker averages."""
+    error of the per-speaker averages over the speakers that have one (0
+    when fewer than two do)."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.shape != (len(speakers), len(parameters)):
         raise ProbeError(f"matrix shape {matrix.shape} does not match labels")
@@ -276,9 +271,7 @@ def aggregate(
     per_speaker = np.nanmean(matrix, axis=1)
     per_parameter = np.nanmean(matrix, axis=0)
     grand = float(np.nanmean(per_speaker))
-    if len(speakers) > 1:
-        stderr = float(np.nanstd(per_speaker, ddof=1) / np.sqrt(len(speakers)))
-    else:
-        stderr = 0.0
+    defined = int(np.count_nonzero(~np.isnan(per_speaker)))
+    stderr = float(np.nanstd(per_speaker, ddof=1) / np.sqrt(defined)) if defined > 1 else 0.0
     return ScoreReport(tuple(speakers), tuple(parameters), matrix,
                        per_speaker, per_parameter, grand, stderr)

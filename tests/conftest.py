@@ -4,6 +4,7 @@ import numpy as np
 
 from phonotraj.alignment import FeaturalSegmentation
 from phonotraj.cli import ExperimentConfig
+from phonotraj.ema import CHANNELS, EmaRecord
 from phonotraj.forward import InterpMethod, evaluate
 from phonotraj.optimize import OptimConfig, gradients, objective
 
@@ -148,3 +149,26 @@ def synthetic_config(root, *, utterances: int = 56, speakers: int = 2,
         seed=seed,
         out_dir=out_dir or str(Path(root) / "out"),
     )
+
+
+def dataset_loss(weight: np.ndarray, bias: np.ndarray, pairs) -> float:
+    """Oracle of the probe's loss: the mean over utterances of the
+    frame-mean squared reconstruction error, each pair truncated to its
+    common length."""
+    losses = []
+    for traj, series in pairs:
+        n = min(traj.frames.shape[0], series.Z.shape[0])
+        err = traj.frames[:n] @ weight.T + bias - series.Z[:n]
+        losses.append(np.mean(np.sum(err * err, axis=1)))
+    return float(np.mean(losses))
+
+
+def write_csv(path, rec: EmaRecord) -> None:
+    """Write ``rec`` in the CSV layout ``ema.load_csv`` reads: a time column
+    in seconds, then the channels."""
+    n = rec.channels.shape[0]
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("time," + ",".join(CHANNELS) + "\n")
+        for i in range(n):
+            f.write(f"{i / rec.sample_rate:.9g},"
+                    + ",".join(f"{v:.9g}" for v in rec.channels[i]) + "\n")

@@ -1,8 +1,9 @@
 """The feature-table loader and resolvers as they were before one grammar and
 one row loop replaced them: a separate loop per table kind, custom ids
 resolved by the config layer.  The tests hold the current code to the tables
-this reference builds.  ``build_featural`` is the targets' per-phone loop as
-it was before one row gather replaced it."""
+this reference builds; ``ap_scalar`` computes the category scale's scalars
+here.  ``build_featural`` is the targets' per-phone loop as it was before
+one row gather replaced it."""
 from __future__ import annotations
 
 import math
@@ -12,10 +13,17 @@ import numpy as np
 
 from phonotraj.alignment import PhoneSegmentation
 from phonotraj.phonology import (BASE_DIMENSIONS, SILENCE, FeatureTable, FeatureTableError,
-                                 _data_path, _read_rows, build_phoneme_onehot, encode_target,
+                                 _data_path, _read_rows, build_phoneme_onehot,
                                  enrich_with_phonemes, load_ap_scale, load_inventory)
 
 _GP_ALPHABET = {"+": 1.0, "-": -1.0}
+
+
+def ap_scalar(categories: tuple[str, ...], category: str) -> float:
+    """``category``'s scalar: its rank in a tract variable's order, the
+    ranks spread equidistantly over [0, 1]."""
+    top = len(categories) - 1
+    return categories.index(category) / top if top else 0.0
 
 
 def load_feature_table(path: str | Path, set_id: str) -> FeatureTable:
@@ -40,7 +48,7 @@ def load_feature_table(path: str | Path, set_id: str) -> FeatureTable:
         scale = load_ap_scale()
         names_in, rows = _read_rows(path)
         for feat in names_in:
-            if feat not in scale.categories:
+            if feat not in scale:
                 raise FeatureTableError(f"{path}: feature {feat!r} missing from category scale")
         if set_id == "ap_scalar":
             names = names_in
@@ -48,13 +56,13 @@ def load_feature_table(path: str | Path, set_id: str) -> FeatureTable:
             for _, ph, values in rows:
                 vec = np.empty(len(names))
                 for j, v in enumerate(values):
-                    vec[j] = math.nan if v == "0" else scale.scalar(names_in[j], v)
+                    vec[j] = math.nan if v == "0" else ap_scalar(scale[names_in[j]], v)
                 vectors[ph] = vec
         else:
             names_list: list[str] = []
             group_list: list[tuple[int, ...]] = []
             for feat in names_in:
-                cats = scale.categories[feat]
+                cats = scale[feat]
                 group_list.append(tuple(range(len(names_list), len(names_list) + len(cats))))
                 names_list.extend(f"{feat}={c}" for c in cats)
             names = tuple(names_list)
@@ -65,7 +73,7 @@ def load_feature_table(path: str | Path, set_id: str) -> FeatureTable:
                     if v == "0":
                         vec[list(group)] = math.nan
                     else:
-                        vec[group[scale.rank(feat, v)]] = 1.0
+                        vec[group[scale[feat].index(v)]] = 1.0
                 vectors[ph] = vec
     else:
         raise FeatureTableError(f"unsupported set_id {set_id!r} for TSV loading")
@@ -108,12 +116,12 @@ def custom_table(set_id: str, path: Path) -> FeatureTable:
 
 def build_featural(seg: PhoneSegmentation, table: FeatureTable):
     """The targets X, intervals Y and midpoints t of ``seg``, one
-    ``encode_target`` per phone between the zero boundary rows."""
+    table row per phone between the zero boundary rows."""
     k = len(seg)
     X = np.zeros((k + 2, table.dimension))
     Y = np.zeros((k + 2, 2))
     for i, ph in enumerate(seg.phones, start=1):
-        X[i] = encode_target(table, ph.label)
+        X[i] = table.matrix[table.row(ph.label)]
         Y[i] = (ph.start, ph.end)
     Y[0] = (0.0, 0.0)
     Y[k + 1] = (seg.phones[-1].end, seg.phones[-1].end)

@@ -12,14 +12,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conftest import (column, dimension_nodes, gradient_check, one_sided_derivative,
-                      random_fseg, synthetic_config)
+from conftest import (column, dataset_loss, dimension_nodes, gradient_check,
+                      one_sided_derivative, random_fseg, synthetic_config)
 from phonotraj.cli import ExperimentConfig, generate_synthetic, run_experiment
 from phonotraj.ema import ArticulatorySeries, EmaRecord, filter_and_downsample
 from phonotraj.forward import InterpMethod, Trajectory, evaluate
 from phonotraj.optimize import (OptimConfig, attainment_term, objective_terms,
                                 optimize_targets)
-from phonotraj.probe import aggregate, dataset_loss, score, train_probe
+from phonotraj.probe import aggregate, score, train_probe
 
 L, H, N = (InterpMethod.LINEAR, InterpMethod.CUBIC_HERMITE,
            InterpMethod.NATURAL_CUBIC)

@@ -13,7 +13,7 @@ from phonotraj.alignment import (
     parse_textgrid,
     trim_and_filter,
 )
-from phonotraj.phonology import encode_target, get_table
+from phonotraj.phonology import get_table
 
 
 def seg(*phones, offset=0.0):
@@ -320,7 +320,7 @@ def test_build_featural_single_phone():
     np.testing.assert_allclose(out.t, [0.0, 0.2, 0.4])
     np.testing.assert_array_equal(out.X[0], np.zeros(26))
     np.testing.assert_array_equal(out.X[2], np.zeros(26))
-    np.testing.assert_array_equal(out.X[1], encode_target(TABLE, "aa"))
+    np.testing.assert_array_equal(out.X[1], TABLE.matrix[TABLE.row("aa")])
 
 
 def test_build_featural_two_phone_midpoints():

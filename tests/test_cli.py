@@ -19,12 +19,11 @@ import pytest
 import scipy
 
 import phonotraj.cli as cli
-from conftest import synthetic_config
+from conftest import synthetic_config, write_csv
 from phonotraj.cli import (ConfigError, ExperimentConfig, generate_synthetic,
                            grid_search, make_splits, prepare_speaker,
                            resolve_table, run_experiment)
-from phonotraj.ema import (EmaRecord, align_frames, load_est_track, project, write_csv,
-                           write_est_track)
+from phonotraj.ema import EmaRecord, align_frames, load_est_track, project, write_est_track
 from phonotraj.optimize import OptimConfig, OptimizeError, optimize_targets
 from phonotraj.probe import ProbeModel, aggregate, score
 
@@ -207,6 +206,11 @@ def test_optimization_with_a_non_cubic_method_rejected_up_front(tmp_path, monkey
     ("optimize_position", 1, "optimize_position must be true or false"),
     ("seed", -1, "seed must be non-negative"),
     ("speakers", ["spk00", "spk00"], "speakers listed more than once: spk00"),
+    ("speakers", ["spk00", ""], "name a directory under dataset_root: ''"),
+    ("speakers", ["."], "name a directory under dataset_root: '.'"),
+    ("speakers", [".."], "name a directory under dataset_root: '..'"),
+    ("speakers", ["../other/spk00", "a/b"],
+     "name a directory under dataset_root: '../other/spk00', 'a/b'"),
     ("grid", ["lambdas"], "grid must be an object"),
     ("dataset_root", 5, "dataset_root must be a string"),
     ("feature_set", 73, "feature_set must be a string"),
@@ -220,8 +224,9 @@ def test_config_rejects_unusable_optimizer_settings_up_front(tmp_path, monkeypat
     # "min_gap": 0 and "split_sizes": [10.0, 2.0, 2.0] failed only after every
     # input file had been read, "speakers": "spk00" named five one-letter
     # speakers and "optimize_timing": "yes" passed as true.  "seed": -1, a
-    # list for "grid" and a non-string path or name exited 2, and a repeated
-    # speaker was counted twice in the report.
+    # list for "grid" and a non-string path or name exited 2, a repeated
+    # speaker was counted twice in the report, and a speaker named "" or
+    # "../other/spk00" was read from the root itself or from outside it.
     with pytest.raises(ConfigError, match=message):
         ExperimentConfig(**{"dataset_root": "/d", "speakers": ("a",), field: value})
     monkeypatch.setattr(cli, "prepare_speaker", lambda *a: pytest.fail("prepared a speaker"))
@@ -270,6 +275,17 @@ def test_generator_is_deterministic(tmp_path):
     c = generate_synthetic(tmp_path / "c", speakers=1, utterances=4, dim=6, seed=4)
     assert tree_digest(a) == tree_digest(b)
     assert tree_digest(a) != tree_digest(c)
+
+
+@pytest.mark.parametrize("noise", ["-1.0", "nan", "inf"])
+def test_generator_rejects_a_noise_that_is_negative_or_not_finite(tmp_path, capsys, noise):
+    # -1.0 and nan used to write noise-free data (noise was added only if
+    # > 0), and inf wrote tracks that failed later as 100% NaN channels.
+    with pytest.raises(ConfigError, match=f"noise must be a finite number >= 0, got {noise}"):
+        generate_synthetic(tmp_path / "lib", noise=float(noise))
+    assert cli.main(["gen-synthetic", "--out", str(tmp_path / "cli"), "--noise", noise]) == 1
+    assert "noise must be a finite number >= 0" in capsys.readouterr().err
+    assert not (tmp_path / "lib").exists() and not (tmp_path / "cli").exists()
 
 
 def test_generator_data_is_exactly_affine(synth_root):
@@ -1331,6 +1347,20 @@ def test_cli_end_to_end(tmp_path, capsys):
     assert "epochs" not in capsys.readouterr().out
     with np.load(tmp_path / "out" / "probes" / "spk00.npz") as saved:
         assert sorted(saved.files) == ["best_dev_loss", "bias", "weight"]
+
+
+def test_an_empty_speaker_override_is_rejected_before_any_speaker_is_prepared(
+        pair_root, tmp_path, capsys):
+    # "spk00,,spk01" used to prepare and print spk00 in full, then fail with
+    # "no utterances found for speaker " and a blank name.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(synthetic_config(pair_root, utterances=14,
+                                         out_dir=str(tmp_path / "out")).to_json(),
+                        encoding="utf-8")
+    assert cli.main(["ingest", "--config", str(cfg_path), "--speakers", "spk00,,spk01"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "name a directory under dataset_root: ''" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_python_m_cli_writes_a_cache_the_package_reads(tiny_root, tmp_path):

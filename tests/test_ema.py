@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 from scipy.signal import butter, filtfilt, lfilter_zi
 
-from conftest import featural
+from conftest import featural, write_csv
 from phonotraj import ema
 from phonotraj.ema import (CHANNELS, PARAMETERS, ArticulatorySeries, EmaError,
                            EmaRecord, align_frames, filter_and_downsample,
                            fit_guided_pca, load_csv, load_ema, load_est_track,
-                           project, write_csv, write_est_track)
+                           project, write_est_track)
 
 IDX = {c: i for i, c in enumerate(CHANNELS)}
 

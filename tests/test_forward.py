@@ -1,5 +1,6 @@
 import importlib.machinery
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,6 @@ from phonotraj.forward import (
     flat_nodes,
     frame_count,
     frame_times,
-    load_binary,
     synthesize,
     synthesize_targets,
 )
@@ -266,8 +266,9 @@ def test_synthesize_frame_count():
     fseg = _fseg_of(("aa", 0.0, 0.4))
     traj = synthesize(fseg, L, 100.0)
     assert traj.frames.shape == (40, 26)
-    assert traj.times[0] == pytest.approx(0.01)
-    assert traj.times[-1] == pytest.approx(0.4)
+    times = frame_times(fseg.duration, traj.frame_rate)
+    assert times[0] == pytest.approx(0.01)
+    assert times[-1] == pytest.approx(0.4)
 
 
 def test_frame_count_floor():
@@ -300,12 +301,11 @@ def test_piecewise_constant_holds_phone_intervals():
     seg = PhoneSegmentation("u", (Phone("aa", 0.0, 0.2), Phone("p", 0.2, 0.5)))
     fseg = build_featural(seg, binary)
     traj = synthesize(fseg, PC, 100.0)
-    from phonotraj.phonology import encode_target
-
-    np.testing.assert_array_equal(traj.frames[0], encode_target(binary, "aa"))
-    np.testing.assert_array_equal(traj.frames[18], encode_target(binary, "aa"))
-    np.testing.assert_array_equal(traj.frames[20], encode_target(binary, "p"))
-    np.testing.assert_array_equal(traj.frames[-1], encode_target(binary, "p"))
+    aa, p = binary.matrix[binary.row("aa")], binary.matrix[binary.row("p")]
+    np.testing.assert_array_equal(traj.frames[0], aa)
+    np.testing.assert_array_equal(traj.frames[18], aa)
+    np.testing.assert_array_equal(traj.frames[20], p)
+    np.testing.assert_array_equal(traj.frames[-1], p)
 
 
 def test_synthesis_is_finite_for_random_masks():
@@ -484,16 +484,24 @@ assert np.array_equal(forward.solve_tridiagonal(ab, b),
                    env={**os.environ, "PYTHONPATH": path})
 
 
+def load_binary(path: Path) -> np.ndarray:
+    """The frames of an FTRJ file, read as README's format section lays it
+    out: magic ``FTRJ``, little-endian uint32 ``n`` and ``d``, then ``n*d``
+    row-major float64 values."""
+    raw = path.read_bytes()
+    assert raw[:4] == b"FTRJ"
+    n, d = struct.unpack("<II", raw[4:12])
+    assert len(raw) == 12 + 8 * n * d
+    return np.frombuffer(raw[12:], dtype="<f8").reshape(n, d)
+
+
 def test_trajectory_binary_round_trip(tmp_path):
     rng = np.random.default_rng(9)
     fseg = random_fseg(rng, k=3, d=4)
     traj = synthesize(fseg, L, 100.0)
     path = tmp_path / "u.traj"
     traj.save_binary(path)
-    back = load_binary(path, "u")
-    np.testing.assert_array_equal(back.frames, traj.frames)
-    raw = path.read_bytes()
-    assert raw[:4] == b"FTRJ"
+    np.testing.assert_array_equal(load_binary(path), traj.frames)
 
 
 def test_trajectory_csv(tmp_path):

@@ -7,11 +7,11 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicHermiteSpline, CubicSpline
 
 from conftest import column, dimension_nodes, featural, gradient_check, random_fseg
-from phonotraj import forward
+from phonotraj import forward, optimize
 from phonotraj.forward import InterpMethod, evaluate
 from phonotraj.optimize import (REL_TOL, OptimConfig, OptimizeError, attainment_term,
                                 grid_configs, gradients, objective, objective_terms,
-                                optimize_targets, project_timings, smoothness_term)
+                                optimize_targets, project_timings)
 
 H, N = InterpMethod.CUBIC_HERMITE, InterpMethod.NATURAL_CUBIC
 
@@ -42,14 +42,14 @@ def quad_smoothness(fseg, method, t=None, X=None):
 
 
 def test_hermite_unit_step_smoothness_is_12():
-    s = smoothness_term(np.array([0.0, 1.0]), np.array([0.0, 1.0]), H)
+    s = optimize._curvature_energy(H, np.array([0.0, 1.0]), np.array([0.0, 1.0]), [0, -1])
     assert s == pytest.approx(12.0, abs=1e-12)
 
 
 def test_straight_line_nodes_have_zero_smoothness():
     times = np.array([0.0, 0.5, 1.5, 2.0])
     values = 3.0 * times + 1.0
-    assert smoothness_term(times, values, N) == pytest.approx(0.0, abs=1e-12)
+    assert optimize._curvature_energy(N, times, values, [0, -1]) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_smoothness_invariant_under_value_shift():
@@ -61,8 +61,8 @@ def test_smoothness_invariant_under_value_shift():
             while np.min(np.diff(times)) < 1e-2:
                 times = np.sort(rng.uniform(0, 2, size=k))
             values = rng.normal(size=k)
-            a = smoothness_term(times, values, m)
-            b = smoothness_term(times, values + 17.3, m)
+            a = optimize._curvature_energy(m, times, values, [0, -1])
+            b = optimize._curvature_energy(m, times, values + 17.3, [0, -1])
             assert a == pytest.approx(b, abs=1e-12 * max(1.0, a))
 
 
@@ -127,8 +127,8 @@ def test_one_banded_solve_per_objective_and_per_gradient(monkeypatch):
 
 def test_smoothness_rejects_non_cubic():
     with pytest.raises(OptimizeError):
-        smoothness_term(np.array([0.0, 1.0]), np.array([0.0, 1.0]),
-                        InterpMethod.LINEAR)
+        optimize._curvature_energy(InterpMethod.LINEAR, np.array([0.0, 1.0]),
+                                   np.array([0.0, 1.0]), [0, -1])
 
 
 def test_attainment_identity_with_interpolation_constraint():

@@ -12,7 +12,6 @@ from phonotraj.phonology import (
     FeatureTableError,
     _data_path,
     build_phoneme_onehot,
-    encode_target,
     enrich_with_phonemes,
     get_table,
     load_ap_scale,
@@ -43,7 +42,7 @@ def test_base_dimensions(set_id, d):
     assert len(table.names) == d
     assert table.matrix.shape == (len(table.inventory), d)
     for ph in table.inventory:
-        assert encode_target(table, ph).shape == (d,)
+        assert table.matrix[table.row(ph)].shape == (d,)
 
 
 @pytest.mark.parametrize(
@@ -62,7 +61,7 @@ def test_enriched_dimensions(set_id, d):
 def test_encode_round_trip_equals_stored_row():
     table = get_table("gp_unknown")
     for i, ph in enumerate(table.inventory):
-        np.testing.assert_array_equal(encode_target(table, ph), table.matrix[i])
+        np.testing.assert_array_equal(table.matrix[table.row(ph)], table.matrix[i])
 
 
 def test_gp_binary_is_gp_unknown_with_unknowns_as_minus_one():
@@ -71,14 +70,14 @@ def test_gp_binary_is_gp_unknown_with_unknowns_as_minus_one():
     for ph in unk.inventory:
         if ph == "sil":
             continue
-        u = encode_target(unk, ph)
-        b = encode_target(binary, ph)
+        u = unk.matrix[unk.row(ph)]
+        b = binary.matrix[binary.row(ph)]
         np.testing.assert_array_equal(np.where(np.isnan(u), -1.0, u), b)
 
 
 def test_gp_unknown_actually_has_unknowns():
     table = get_table("gp_unknown")
-    row = encode_target(table, "p")
+    row = table.matrix[table.row("p")]
     assert np.isnan(row).any()
     specified = row[~np.isnan(row)]
     assert set(np.unique(specified)) <= {-1.0, 1.0}
@@ -89,14 +88,15 @@ def test_gp_binary_values_are_plus_minus_one():
     for ph in table.inventory:
         if ph == "sil":
             continue
-        row = encode_target(table, ph)
+        row = table.matrix[table.row(ph)]
         assert not np.isnan(row).any()
         assert set(np.unique(row)) <= {-1.0, 1.0}
 
 
 def test_silence_is_all_zero_in_non_onehot_sets():
     for set_id in ("gp_binary", "gp_unknown", "ap_scalar", "ap_onehot"):
-        row = encode_target(get_table(set_id), "sil")
+        table = get_table(set_id)
+        row = table.matrix[table.row("sil")]
         assert np.array_equal(row, np.zeros(row.size))
 
 
@@ -104,14 +104,14 @@ def test_silence_aliases_map_to_sil():
     table = get_table("gp_unknown")
     for alias in ("sp", "spn", "SIL"):
         np.testing.assert_array_equal(
-            encode_target(table, alias), encode_target(table, "sil")
+            table.matrix[table.row(alias)], table.matrix[table.row("sil")]
         )
 
 
 def test_phoneme_onehot_is_identity():
     table = build_phoneme_onehot()
     assert table.dimension == 47
-    stack = np.vstack([encode_target(table, ph) for ph in table.inventory])
+    stack = np.vstack([table.matrix[table.row(ph)] for ph in table.inventory])
     np.testing.assert_array_equal(stack, np.eye(47))
     np.testing.assert_array_equal(table.matrix, np.eye(47))
 
@@ -126,7 +126,7 @@ def test_ap_onehot_groups_are_valid():
     for ph in table.inventory:
         if ph == "sil":
             continue
-        row = encode_target(table, ph)
+        row = table.matrix[table.row(ph)]
         for g in groups:
             block = row[g]
             if np.isnan(block).any():
@@ -138,22 +138,20 @@ def test_ap_onehot_groups_are_valid():
 
 
 def test_ap_scalar_values_in_unit_interval_and_scale_increasing():
-    scale = load_ap_scale()
-    for feature, cats in scale.categories.items():
-        values = [scale.scalar(feature, c) for c in cats]
+    for cats in load_ap_scale().values():
+        values = [reference.ap_scalar(cats, c) for c in cats]
         assert values == sorted(values)
         assert all(0.0 <= v <= 1.0 for v in values)
         assert len(set(values)) == len(values)
     table = get_table("ap_scalar")
     for ph in table.inventory:
-        row = encode_target(table, ph)
+        row = table.matrix[table.row(ph)]
         ok = row[~np.isnan(row)]
         assert np.all((ok >= 0.0) & (ok <= 1.0))
 
 
 def test_ap_onehot_category_count_is_32():
-    scale = load_ap_scale()
-    assert sum(len(c) for c in scale.categories.values()) == 32
+    assert sum(len(c) for c in load_ap_scale().values()) == 32
 
 
 def test_enriched_rows_are_concatenations():
@@ -161,9 +159,9 @@ def test_enriched_rows_are_concatenations():
     onehot = build_phoneme_onehot()
     enriched = enrich_with_phonemes(base)
     for ph in base.inventory:
-        row = encode_target(enriched, ph)
+        row = enriched.matrix[enriched.row(ph)]
         np.testing.assert_array_equal(
-            row, np.concatenate([encode_target(base, ph), encode_target(onehot, ph)]))
+            row, np.concatenate([base.matrix[base.row(ph)], onehot.matrix[onehot.row(ph)]]))
         # phoneme block always fully specified
         assert not np.isnan(row[base.dimension:]).any()
 
@@ -180,7 +178,7 @@ def test_unknown_phoneme_is_an_error():
     table = get_table("gp_unknown")
     unknown = PhoneSegmentation("utt", (Phone("aa", 0.0, 0.1), Phone("qx", 0.1, 0.2)))
     message = "^phoneme 'qx' not in feature set gp_unknown$"
-    for encode in (lambda: encode_target(table, "qx"), lambda: build_featural(unknown, table)):
+    for encode in (lambda: table.row("qx"), lambda: build_featural(unknown, table)):
         with pytest.raises(FeatureTableError, match=message):
             encode()
 
@@ -232,7 +230,7 @@ def assert_same_table(table, expected):
     assert table.inventory == expected.inventory
     assert table.matrix.shape == expected.matrix.shape
     for label in expected.inventory:
-        row, want = encode_target(table, label), encode_target(expected, label)
+        row, want = table.matrix[table.row(label)], expected.matrix[expected.row(label)]
         assert row.dtype == want.dtype
         assert row.tobytes() == want.tobytes(), label
 
@@ -258,10 +256,11 @@ def test_custom_tables_equal_the_reference_loader(custom_tsv, set_id):
 
 def test_custom_binary_maps_zero_to_minus_one(custom_tsv):
     plain, binary = get_table("custom", custom_tsv), get_table("custom_binary", custom_tsv)
-    assert np.isnan(encode_target(plain, "ph00")[1]) and encode_target(binary, "ph00")[1] == -1.0
+    assert np.isnan(plain.matrix[plain.row("ph00"), 1])
+    assert binary.matrix[binary.row("ph00"), 1] == -1.0
     for label in plain.inventory:
-        vec = encode_target(plain, label)
-        np.testing.assert_array_equal(encode_target(binary, label),
+        vec = plain.matrix[plain.row(label)]
+        np.testing.assert_array_equal(binary.matrix[binary.row(label)],
                                       np.where(np.isnan(vec), -1.0, vec))
 
 
@@ -321,8 +320,6 @@ def test_table_owns_a_copy_of_its_matrix():
     source = np.eye(2)
     table = FeatureTable("t", ("f0", "f1"), ("a", "sil"), source)
     source[0, 0] = 7.0
-    np.testing.assert_array_equal(table.matrix, np.eye(2))
-    encode_target(table, "a")[0] = 7.0  # a fresh array, not a view of the row
     np.testing.assert_array_equal(table.matrix, np.eye(2))
 
 

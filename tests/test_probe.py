@@ -1,8 +1,10 @@
 import logging
+import warnings
 
 import numpy as np
 import pytest
 
+from conftest import dataset_loss
 from phonotraj.alignment import Phone, PhoneSegmentation, build_featural
 from phonotraj.cli import _LazySequence
 from phonotraj.ema import ArticulatorySeries
@@ -10,8 +12,7 @@ from phonotraj.forward import InterpMethod, Trajectory, frame_count, synthesize
 from phonotraj.phonology import SILENCE, get_table
 from phonotraj.probe import (ADAM_BETAS, ADAM_EPS, ADAM_LR, AdamState,
                              ProbeError, ProbeModel, _statistics, adam_step,
-                             aggregate, dataset_loss, pearson, score,
-                             train_probe)
+                             aggregate, pearson, score, train_probe)
 
 
 def make_pairs(rng, A, b, n_utt, frames=(30, 60), noise=0.0):
@@ -424,6 +425,17 @@ def test_aggregate_shape_mismatch_rejected():
 def test_aggregate_all_nan_rejected():
     with pytest.raises(ProbeError):
         aggregate(np.full((2, 6), np.nan), ("a", "b"))
+
+
+def test_aggregate_stderr_counts_only_speakers_with_a_defined_average():
+    # The standard error used to divide by the square root of every
+    # speaker's count: 0.081650 for these rows, and NaN with one defined row.
+    rows = np.array([np.full(6, 0.5), np.full(6, 0.7), np.full(6, np.nan)])
+    names = ("a", "b", "c")
+    assert aggregate(rows, names).stderr == pytest.approx(0.1, rel=1e-12)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("error", message="Degrees of freedom")
+        assert aggregate(rows[[0, 2]], names[:2]).stderr == 0.0
 
 
 def test_report_serialization_is_stable():
